@@ -26,7 +26,8 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .model import BOSON, FERMION, Statistics, W_MINUS, W_PLUS
-from .numerics import PrecisionPolicy
+from .numerics import (DEFAULT_POLICY, GUARD_DIGITS, MaxIterations, NoSignChange,
+                       NonConvergent, PrecisionExhausted, PrecisionPolicy)
 from . import boson_medium, equilibrium, fermion_medium, hightemp, lowtemp, oracle
 
 SCHEMA_VERSION = "1"
@@ -49,14 +50,19 @@ class GridSpec:
     spacing: str  # log | linear
 
     def temperatures(self):
+        """Grid points computed at working precision, each rounded once to
+        the ambient precision; ``t_min`` and ``t_max`` come out exactly."""
         lo, hi, n = mpf(self.t_min), mpf(self.t_max), self.points
         if n == 1:
             return [lo]
-        if self.spacing == "log":
-            step = (mp.log(hi) - mp.log(lo)) / (n - 1)
-            return [mp.e ** (mp.log(lo) + i * step) for i in range(n)]
-        step = (hi - lo) / (n - 1)
-        return [lo + i * step for i in range(n)]
+        with mp.workdps(DEFAULT_POLICY.working_digits + GUARD_DIGITS):
+            if self.spacing == "log":
+                step = (mp.log(hi) - mp.log(lo)) / (n - 1)
+                inner = [mp.e ** (mp.log(lo) + i * step) for i in range(1, n - 1)]
+            else:
+                step = (hi - lo) / (n - 1)
+                inner = [lo + i * step for i in range(1, n - 1)]
+        return [lo] + [mpf(t) for t in inner] + [hi]
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,8 @@ class RunConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if not 1 <= self.digits <= 30:
             raise UsageError("digits must lie in [1, 30]")
+        if self.jobs < 1:
+            raise UsageError("jobs must be a positive integer")
 
     @property
     def stat(self) -> Statistics:
@@ -110,7 +118,8 @@ class RunConfig:
 
 
 def _fmt(x, digits: int) -> str:
-    return mp.nstr(mpf(x), digits)
+    # an mpf is rounded once, from all the digits it carries
+    return mp.nstr(x if isinstance(x, mpf) else mpf(x), digits)
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -121,6 +130,19 @@ def _parse_grid(text: str) -> GridSpec:
         return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), parts[3])
     except ValueError as exc:
         raise UsageError(f"bad grid spec {text!r}: {exc}") from None
+
+
+def _parse_window(text: str):
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise UsageError("window must be LO:HI")
+    try:
+        lo, hi = mpf(parts[0]), mpf(parts[1])
+    except ValueError:
+        raise UsageError(f"bad window {text!r}: LO and HI must be numbers") from None
+    if not 0 < lo < hi < mp.inf:
+        raise UsageError(f"bad window {text!r}: need 0 < LO < HI")
+    return lo, hi
 
 
 def _read_config_file(path: str) -> dict:
@@ -369,10 +391,12 @@ def _run_report(cfg: RunConfig, kind: str, t_value, window, out_stream) -> int:
                       t_end_over_N=_fmt(t_end / N, d),
                       method="second_finite_difference")
     elif kind == "equilibrium_shift":
-        if t_value and t_value > 0:
+        if t_value is None:
+            res = equilibrium.shift_zero_temperature(stat, N)
+        elif 0 < t_value < mp.inf:
             res = equilibrium.shift_finite_temperature(stat, N, t_value, policy)
         else:
-            res = equilibrium.shift_zero_temperature(stat, N)
+            raise UsageError("--t-value must be a positive finite temperature")
         record.update(t=_fmt(res.t, d), xi=_fmt(res.xi, d),
                       r_ratio=_fmt(res.r_ratio, d), method=res.method)
     elif kind == "transfer":
@@ -427,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_rep)
     p_rep.add_argument("--kind", choices=REPORT_KINDS, required=True)
     p_rep.add_argument("--t-value", dest="t_value", type=float, default=None,
-                       help="temperature for equilibrium_shift (0 = closed form)")
+                       help="temperature for equilibrium_shift "
+                            "(omit for the zero-temperature closed form)")
     p_rep.add_argument("--window", type=str, default=None, metavar="LO:HI",
                        help="search window for minimum/inflections")
 
@@ -465,10 +490,7 @@ def main(argv=None) -> int:
                     names.extend(x for x in part.split(",") if x)
                 return _run_compare(cfg, names, stream)
             if args.command == "report":
-                window = None
-                if args.window:
-                    lo, hi = args.window.split(":")
-                    window = (mpf(lo), mpf(hi))
+                window = None if args.window is None else _parse_window(args.window)
                 return _run_report(cfg, args.kind, args.t_value, window, stream)
             raise UsageError(f"unknown command {args.command!r}")
         finally:
@@ -478,7 +500,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (oracle.BracketFailure, oracle.StepNotFound, oracle.NotUnimodal,
-            oracle.SweepFailure) as exc:
+            oracle.SweepFailure, MaxIterations, PrecisionExhausted, NoSignChange,
+            NonConvergent) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -4,7 +4,9 @@ Every quantity the exact oracle reports is accompanied by a bound on the
 error committed by truncating an infinite sum or stopping an iteration.
 The tools here supply those bounds:
 
-* :func:`find_root_bracketed` - deterministic bisection/secant hybrid.
+* :func:`find_root_bracketed` - deterministic bracketed root finder:
+  a bisection/secant hybrid, or safeguarded Newton when the function also
+  returns its derivative.
 * :func:`sum_with_tail_bound` - truncates a positive decreasing series and
   certifies the dropped tail with a geometric or Gaussian-integral envelope.
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
@@ -124,14 +126,27 @@ class RootResult:
 
 
 def find_root_bracketed(func: Callable, lo, hi,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> RootResult:
+                        policy: PrecisionPolicy = DEFAULT_POLICY,
+                        derivative: bool = False) -> RootResult:
     """Solve func(x) = 0 on a sign-changing bracket [lo, hi].
 
-    Bisection narrows the bracket first; afterwards guarded secant steps are
-    taken, falling back to bisection whenever the secant candidate leaves the
-    bracket or progress stalls.  Terminates once both the residual is below
-    ``target_abs_error`` and the bracket width is below
-    ``max(target_abs_error, |root| * target_rel_error)``.
+    Without ``derivative``, bisection narrows the bracket first; afterwards
+    guarded secant steps are taken, falling back to bisection whenever the
+    secant candidate leaves the bracket or progress stalls.
+
+    With ``derivative``, ``func`` returns ``(g, g')`` and safeguarded Newton
+    steps are taken inside the bracket (``rtsafe``, Numerical Recipes 9.4):
+    a step that leaves the bracket, or a step after one that failed to halve
+    |g|, is replaced by bisection.  Newton iterates usually approach the root
+    from one side, so once the Newton correction is below the tolerance one
+    straddle probe at ``x - 2 g/g'`` confirms the bracket [x, x - 2 g/g'];
+    the Newton point ``x - g/g'``, its midpoint, is returned with the larger
+    |g| at the two ends as residual (a bound for monotone g).
+
+    Both modes terminate once the residual is below ``target_abs_error`` and
+    the bracket width is below ``max(target_abs_error, |root| *
+    target_rel_error)``.  Every call of ``func`` counts in ``evaluations``
+    and against ``max_iterations``.
 
     Deterministic: identical inputs and policy produce identical output.
     """
@@ -139,7 +154,11 @@ def find_root_bracketed(func: Callable, lo, hi,
         a, b = mpf(lo), mpf(hi)
         if not a < b:
             raise ValueError("bracket must satisfy lo < hi")
-        fa, fb = mpf(func(a)), mpf(func(b))
+        if derivative:
+            fa, da = map(mpf, func(a))
+            fb, db = map(mpf, func(b))
+        else:
+            fa, fb = mpf(func(a)), mpf(func(b))
         evals = 2
         ftol = mpf(policy.target_abs_error)
         if fa == 0:
@@ -150,14 +169,49 @@ def find_root_bracketed(func: Callable, lo, hi,
             raise NoSignChange(
                 f"func({mp.nstr(a, 8)}) and func({mp.nstr(b, 8)}) have the same sign")
 
+        def xtol(x):
+            return max(ftol, abs(x) * mpf(policy.target_rel_error))
+
+        def done(x, fx):
+            return abs(fx) <= ftol and (b - a) <= xtol(x)
+
+        if derivative:
+            x, fx, dfx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
+            bisect = False
+            while evals < policy.max_iterations:
+                if done(x, fx):
+                    return RootResult(x, fx, b - a, evals)
+                step = fx / dfx if dfx != 0 else None
+                probe = newton = False
+                if (step is not None and abs(fx) <= ftol and 2 * abs(step) <= xtol(x)
+                        and a < x - 2 * step < b):
+                    nxt, probe = x - 2 * step, True
+                elif step is not None and not bisect and a < x - step < b:
+                    nxt, newton = x - step, True
+                else:
+                    nxt = (a + b) / 2
+                    if not a < nxt < b:  # bracket collapsed to adjacent floats
+                        return RootResult(x, fx, b - a, evals)
+                fn, dfn = map(mpf, func(nxt))
+                evals += 1
+                if fn == 0:
+                    return RootResult(nxt, fn, mpf(0), evals)
+                if probe and mp.sign(fn) != mp.sign(fx) and abs(fn) <= ftol:
+                    return RootResult(x - step, max(abs(fx), abs(fn)), 2 * abs(step), evals)
+                bisect = newton and abs(fn) > abs(fx) / 2
+                if mp.sign(fn) == mp.sign(fa):
+                    a, fa = nxt, fn
+                else:
+                    b, fb = nxt, fn
+                x, fx, dfx = nxt, fn, dfn
+            raise MaxIterations(
+                f"no root to tolerance {policy.target_abs_error} within "
+                f"{policy.max_iterations} evaluations (best residual {mp.nstr(fx, 6)})")
+
         # keep the orientation fa > 0 > fb implicit via sign comparisons
         best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
         prev_x, prev_f = (b, fb) if abs(fa) < abs(fb) else (a, fa)
         bisect_left = 6  # initial pure-bisection steps to a safe width
-
-        def done(x, fx):
-            xtol = max(ftol, abs(x) * mpf(policy.target_rel_error))
-            return abs(fx) <= ftol and (b - a) <= xtol
 
         while evals < policy.max_iterations:
             if done(best_x, best_f):

@@ -11,6 +11,13 @@ carries an error bound combining truncation and root residual, so the
 routines here serve as the oracle against which all closed-form regime
 approximations are validated.
 
+The constraint is solved by safeguarded Newton inside a sign-change bracket
+on number-only sums (the constraint sum and its alpha-derivative, without
+the force sums); one full evaluation at the root then gives the force and
+the certificates.  Iteration and final evaluation truncate at the same
+depth, ``target_abs_error * min(1, b) / 8192``, so that the force
+sensitivity, which grows like t, does not amplify a mismatch between them.
+
 Two evaluation routes are used, both exact up to the certified bounds:
 
 * direct summation over levels, with Gaussian-integral tail bounds;
@@ -271,6 +278,67 @@ def _level_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
             raise PrecisionExhausted("fugacity series did not truncate")
 
 
+def _number_sums_direct(eta: int, tau: mpf, alpha: mpf, b: mpf, eps: mpf):
+    # the recurrence of _level_sums_direct without the force accumulators;
+    # the number tail needs N_m <= 2 e^{-x_m} (x >= ln 2) only
+    u = mp.e ** (-(alpha + b * (1 - tau) ** 2))
+    rho = mp.e ** (-b * (2 * (1 - tau) + 1))
+    shrink = mp.e ** (-2 * b)
+    s_n = mpf(0)
+    s_dn = mpf(0)
+    n = 1
+    ealpha = mp.e ** (-alpha)
+    sqrt_b = mp.sqrt(b)
+    while True:
+        occ = u / (1 - eta * u)
+        s_n += occ
+        s_dn += occ * (1 + eta * occ)
+        u_next = u * rho
+        if u * 4 < eps and alpha + b * (n - tau) ** 2 >= 1:
+            g0 = gaussian_tail_upper_bound(sqrt_b * (n + 1 - tau))
+            if 2 * (u_next + ealpha / sqrt_b * g0) < eps:
+                return s_n, -s_dn
+        if n > 10 ** 7:
+            raise PrecisionExhausted("level sum did not truncate below the target")
+        u = u_next
+        rho *= shrink
+        n += 1
+
+
+def _number_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
+                        eps: mpf):
+    # the fugacity series of _level_sums_series without the Theta_1 terms
+    q = mp.e ** (-alpha)
+    s_n = mpf(0)
+    s_dn = mpf(0)
+    k = 1
+    qk = q
+    while True:
+        th0, _ = _theta0(k * b, tau, sigma, eps / 16)
+        term = eta ** (k - 1) * qk * th0
+        s_n += term
+        s_dn -= k * term
+        nxt = qk * q
+        if nxt * th0 * (1 / (1 - q) + ((k + 1) - k * q) / (1 - q) ** 2) < eps / 2:
+            return s_n, s_dn
+        qk = nxt
+        k += 1
+        if k > 100000:
+            raise PrecisionExhausted("fugacity series did not truncate")
+
+
+def _number_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf, eps: mpf):
+    """(sum_n N_n, its alpha-derivative), each within eps of the full sums.
+
+    The constraint iteration needs only these; the route and the truncation
+    rules are those of :func:`_level_sums`.
+    """
+    tau = as_mpf(side.tau)
+    if b <= _SERIES_MAX_B and alpha >= _SERIES_MIN_ALPHA:
+        return _number_sums_series(stat.eta, tau, side.sigma, alpha, b, eps)
+    return _number_sums_direct(stat.eta, tau, alpha, b, eps)
+
+
 def _level_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf,
                 eps: mpf) -> _LevelSums:
     tau = as_mpf(side.tau)
@@ -365,16 +433,24 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
                    policy: PrecisionPolicy):
     with mp.workdps(policy.working_digits + GUARD_DIGITS):
         b = 1 / mpf(t)
-        eps_sum = mpf(policy.target_abs_error) / 8
+        # the iteration and the final evaluation truncate at one depth, scaled
+        # with b: their mismatch enters the force error through a sensitivity
+        # that grows like t
+        eps_sum = mpf(policy.target_abs_error) / 8 * min(1, b) / 1024
+        memo: dict = {}
 
         def g(alpha):
-            return _level_sums(stat, side, mpf(alpha), b, eps_sum).number - N
+            # the bracket's last two probes are the root finder's end points
+            if alpha not in memo:
+                number, dnumber = _number_sums(stat, side, alpha, b, eps_sum)
+                memo[alpha] = (number - N, dnumber)
+            return memo[alpha]
 
-        lo, hi = _bracket_alpha(stat, side, N, b, g)
+        lo, hi = _bracket_alpha(stat, side, N, b, lambda alpha: g(alpha)[0])
         if lo == hi:
             root = lo
         else:
-            root = find_root_bracketed(g, lo, hi, policy).root
+            root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
         sums = _level_sums(stat, side, root, b, eps_sum)
         residual = abs(sums.number - N) + sums.tail_number
         slope = abs(sums.dnumber) - sums.tail_dnumber
@@ -421,15 +497,16 @@ def net_force(stat: Statistics, N: int, t,
     t = mpf(t)
     sol_m, (f_m, err_m) = _solve_side(stat, W_MINUS, N, t, policy)
     sol_p, (f_p, err_p) = _solve_side(stat, W_PLUS, N, t, policy)
-    return CurvePoint(
-        t=t,
-        alpha_plus=sol_p.alpha,
-        alpha_minus=sol_m.alpha,
-        f_plus=f_p,
-        f_minus=f_m,
-        delta_f=f_m - f_p,
-        delta_f_error=err_m + err_p,
-    )
+    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+        return CurvePoint(
+            t=t,
+            alpha_plus=sol_p.alpha,
+            alpha_minus=sol_m.alpha,
+            f_plus=f_p,
+            f_minus=f_m,
+            delta_f=f_m - f_p,
+            delta_f_error=err_m + err_p,
+        )
 
 
 def sweep_curve(stat: Statistics, N: int, grid: Sequence,

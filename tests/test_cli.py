@@ -2,9 +2,12 @@ import json
 import os
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from partition_well.cli import main
+from partition_well import oracle
+from partition_well.cli import GridSpec, main
+from partition_well.numerics import (MaxIterations, NoSignChange, NonConvergent,
+                                     PrecisionExhausted)
 
 
 def run_cli(args):
@@ -94,6 +97,22 @@ class TestCurve:
         assert float(row[5]) == pytest.approx(75.0, abs=1e-6)
 
 
+class TestGridSpec:
+    # the CLI runs at mpmath's default 15 digits
+    def test_log_endpoints_exact(self):
+        with mp.workdps(15):
+            assert GridSpec(1, 2, 2, "log").temperatures() == [1, 2]
+            grid = GridSpec(1, 1e20, 3, "log").temperatures()
+        assert grid[0] == 1 and grid[-1] == mpf(1e20)
+        assert grid[1] == mpf(1e10)  # rounded once from working precision
+
+    def test_linear_endpoints_exact(self):
+        with mp.workdps(15):
+            grid = GridSpec(0.1, 0.7, 7, "linear").temperatures()
+        assert grid[0] == mpf(0.1) and grid[-1] == mpf(0.7)
+        assert grid == sorted(grid)
+
+
 class TestCompare:
     def test_unknown_name_exit_2(self, capsys):
         assert run_cli(["compare", "--approx", "extrapolation"]) == 2
@@ -170,6 +189,35 @@ class TestReport:
 
     def test_unknown_kind_usage_error(self):
         assert run_cli(["report", "--kind", "entropy"]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("window", ["1:2:3", "5", "a:b", "1:", "2:1", "0:2"])
+    def test_bad_window_usage_error(self, window, capsys):
+        assert run_cli(["report", "--kind", "minimum", "--N", "3",
+                        "--window", window]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_usage_error(self, jobs, capsys):
+        assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("t_value", ["-5", "0"])
+    def test_nonpositive_shift_temperature_usage_error(self, t_value, capsys):
+        assert run_cli(["report", "--kind", "equilibrium_shift", "--stat", "boson",
+                        "--t-value", t_value]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("exc", [MaxIterations, PrecisionExhausted,
+                                     NoSignChange, NonConvergent])
+    def test_solver_failures_exit_3_on_report(self, exc, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(oracle, "locate_minimum", fail)
+        assert run_cli(["report", "--kind", "minimum", "--N", "3"]) == 3
+        assert "numeric failure: injected" in capsys.readouterr().err
 
 
 def test_env_config_applies_to_curve(tmp_path, monkeypatch, capsys):

@@ -71,6 +71,56 @@ class TestRootFinder:
         assert a.evaluations == b.evaluations
 
 
+class TestRootFinderNewton:
+    """``derivative=True``: func returns (g, g') and Newton steps are taken."""
+
+    @staticmethod
+    def cos_fixed_point(x):
+        return mp.cos(x) - x, -mp.sin(x) - 1
+
+    def test_deterministic_bit_identical(self):
+        a = find_root_bracketed(self.cos_fixed_point, 0, 1, derivative=True)
+        b = find_root_bracketed(self.cos_fixed_point, 0, 1, derivative=True)
+        assert mp.nstr(a.root, 30) == mp.nstr(b.root, 30)
+        assert a.evaluations == b.evaluations
+
+    @pytest.mark.parametrize("func,lo,hi,root", [
+        (lambda x: (mp.cos(x) - x, -mp.sin(x) - 1), 0, 1,
+         lambda: mpf("0.739085133215160641655312087673873404")),
+        # convex and decreasing: Newton approaches from one side only, so the
+        # straddle probe has to confirm the bracket
+        (lambda x: (1000 * mp.e ** (-x) - 1, -1000 * mp.e ** (-x)), 0, 100,
+         lambda: mp.log(1000)),
+        (lambda x: (x ** 3 - 2, 3 * x ** 2), 0, 100, lambda: mp.cbrt(2)),
+    ])
+    def test_bracket_width_stop(self, func, lo, hi, root):
+        policy = PrecisionPolicy(target_abs_error=1e-12, target_rel_error=1e-12)
+        res = find_root_bracketed(func, lo, hi, policy, derivative=True)
+        assert abs(res.residual) <= 1e-12
+        assert 0 < res.bracket_width <= max(mpf(1e-12), abs(res.root) * mpf(1e-12))
+        # the returned Newton point is the middle of the confirmed bracket
+        assert abs(res.root - root()) <= res.bracket_width / 2
+        assert res.evaluations < 20
+
+    def test_zero_derivative_falls_back_to_bisection(self):
+        res = find_root_bracketed(lambda x: (x - 2, 0), 0, 5, derivative=True)
+        assert abs(res.root - 2) <= res.bracket_width <= mpf(1e-12) * 2
+        assert res.evaluations > 40  # one halving per evaluation
+
+    def test_no_sign_change(self):
+        with pytest.raises(NoSignChange):
+            find_root_bracketed(lambda x: (x * x + 1, 2 * x), -1, 1, derivative=True)
+
+    def test_max_iterations_under_tiny_budget(self):
+        policy = PrecisionPolicy(max_iterations=4)
+        with pytest.raises(MaxIterations):
+            find_root_bracketed(self.cos_fixed_point, 0, 1, policy, derivative=True)
+        # the end points count: a budget of two allows no step at all
+        with pytest.raises(MaxIterations):
+            find_root_bracketed(self.cos_fixed_point, 0, 1,
+                                PrecisionPolicy(max_iterations=2), derivative=True)
+
+
 class TestSumWithTailBound:
     def test_geometric_half(self):
         value, bound = sum_with_tail_bound(lambda n: mpf(2) ** (-n))

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+from partition_well import oracle
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
-from partition_well.numerics import PrecisionExhausted, PrecisionPolicy
+from partition_well.numerics import GUARD_DIGITS, PrecisionExhausted, PrecisionPolicy
 from partition_well.oracle import (
     OccupancySolution,
     locate_inflections,
@@ -240,3 +242,90 @@ class TestMinimumAndInflections:
     def test_inflections_require_fermions(self):
         with pytest.raises(ValueError):
             locate_inflections(BOSON, 100)
+
+
+class TestRootCounters:
+    """Constraint solves pinned in root-finder evaluations (end points
+    included), minus side then plus side.  The bisection/secant solve needed
+    20/20, 18/19, 16/18 and 22/19 at these cells."""
+
+    @pytest.mark.parametrize("stat,N,t,counts", [
+        (BOSON, 100, "55", [13, 13]),
+        (FERMION, 100, "4440", [7, 7]),
+        (BOSON, 100, "1e7", [7, 7]),
+        (BOSON, 8, "0.01", [7, 7]),
+    ])
+    def test_evaluations_per_side(self, monkeypatch, stat, N, t, counts):
+        seen = []
+        solve = oracle.find_root_bracketed
+
+        def counting(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            seen.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(oracle, "find_root_bracketed", counting)
+        net_force(stat, N, mpf(t))
+        assert seen == counts
+
+
+class TestNumberSums:
+    """The number-only sums the constraint iteration runs on agree with the
+    full level sums.  They do not depend on N, which enters the constraint
+    only as an offset."""
+
+    EPS = mpf("1e-14")
+
+    @settings(max_examples=60, deadline=None)
+    @given(stat=st.sampled_from([BOSON, FERMION]),
+           side=st.sampled_from([W_MINUS, W_PLUS]),
+           t=st.one_of(st.floats(0.01, 3), st.floats(3, 1e4)),
+           alpha=st.floats(-3, 6))
+    # both sides of the route switch at b = 1/2 and alpha = 1/2
+    @example(stat=BOSON, side=W_MINUS, t=2.0, alpha=0.5)
+    @example(stat=FERMION, side=W_PLUS, t=2.0, alpha=0.4999)
+    @example(stat=BOSON, side=W_PLUS, t=1.999, alpha=0.5)
+    @example(stat=FERMION, side=W_MINUS, t=2.001, alpha=0.5001)
+    def test_match_full_level_sums(self, stat, side, t, alpha):
+        with mp.workdps(30 + GUARD_DIGITS):
+            b = 1 / mpf(t)
+            alpha = mpf(alpha)
+            if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
+                alpha = -b * as_mpf(side.e1) + mpf("0.01")
+            number, dnumber = oracle._number_sums(stat, side, alpha, b, self.EPS)
+            full = oracle._level_sums(stat, side, alpha, b, self.EPS)
+            # each is within its truncation target of the untruncated sums:
+            # eps for the number, 2 eps for its derivative
+            assert abs(number - full.number) <= 2 * self.EPS
+            assert abs(dnumber - full.dnumber) <= 4 * self.EPS
+
+
+def test_delta_f_within_bound_of_60_digit_sum():
+    """delta_f is formed at working precision, not at the caller's 15 digits."""
+    N = 8
+    with mp.workdps(15):
+        t = mpf("0.71998672445157863")
+        point = net_force(BOSON, N, t)
+    with mp.workdps(60):
+        b = 1 / t
+
+        def sums(tau, alpha):
+            number = force = mpf(0)
+            n = 1
+            while alpha + b * (n - tau) ** 2 < 160:
+                en = (n - tau) ** 2
+                occ = 1 / (mp.e ** (alpha + b * en) - 1)
+                number += occ
+                force += en * occ
+                n += 1
+            return number, force
+
+        def force(tau):
+            lo, hi = -b * (1 - tau) ** 2 + mpf("1e-50"), mpf(50)
+            for _ in range(230):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if sums(tau, mid)[0] > N else (lo, mid)
+            return sums(tau, (lo + hi) / 2)[1]
+
+        exact = force(mpf(0)) - force(mpf("0.5"))
+        assert abs(point.delta_f - exact) <= point.delta_f_error
