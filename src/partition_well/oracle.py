@@ -18,6 +18,21 @@ the certificates.  Iteration and final evaluation truncate at the same
 depth, ``target_abs_error * min(1, b) / 8192``, so that the force
 sensitivity, which grows like t, does not amplify a mismatch between them.
 
+The bracket comes in closed form from one classical level sum
+Theta_0 = sum_n e^(-b e_n) and w = e^(-b e_1).  Boltzmann occupancy e^(-x)
+lies above the Fermi occupancy 1/(e^x + 1) and below the Bose occupancy
+1/(e^x - 1); dividing it by 1 + e^(-x_1) or 1 - e^(-x_1) bounds each from
+the other side.  Summed over the levels this puts the root between
+log(Theta_0/N - w) and log(Theta_0/N) for fermions, and between
+log(Theta_0/N) and log(Theta_0/N + w) for bosons (the lower ends where
+Theta_0 > N w).  Near the Bose pole the first level's capacity,
+x_1 = log(1 + 1/N), gives the lower end instead; for a sharp Fermi step
+both ends are those of a window around the filled levels.  Each end is
+padded outward by 10^(4 - dps) max(1, |alpha|), a few units of the working
+precision: with a single occupied level the bound is tight.  Only fermions
+between the degenerate and the classical regime probe the constraint for
+their lower end.
+
 Two evaluation routes are used, both exact up to the certified bounds:
 
 * direct summation over levels, with Gaussian-integral tail bounds;
@@ -70,6 +85,11 @@ _THETA_POISSON_MAX_BETA = mpf("1.5")
 
 class BracketFailure(RuntimeError):
     """No sign-changing bracket could be constructed for the constraint."""
+
+
+class _SlopeLost(PrecisionExhausted):
+    """The constraint derivative at the root is not resolved above its tail
+    bound; more working digits can resolve it."""
 
 
 class NotUnimodal(RuntimeError):
@@ -347,47 +367,98 @@ def _level_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf,
     return _level_sums_direct(stat.eta, tau, alpha, b, eps)
 
 
+def _filled_levels_window(side: WellSide, N: int, b: mpf) -> tuple:
+    """(centre, half width) of a window around the degenerate-fermion alpha,
+    midway between the last filled level N and the first empty one."""
+    tau = as_mpf(side.tau)
+    centre = -(b / 2) * ((N - tau) ** 2 + (N + 1 - tau) ** 2)
+    return centre, max(mpf(1), 4 * b * (N + 1))
+
+
+def _closed_form_ends(stat: Statistics, side: WellSide, N: int, b: mpf) -> tuple:
+    """Closed-form bracket ends ``(lo or None, hi)`` for the constraint.
+
+    With Theta_0 = sum_n e^(-b e_n), w = e^(-b e_1) and x_n = alpha + b e_n,
+    Boltzmann occupancy bounds the quantum occupancies level by level:
+
+    * fermions: e^(-x)/(1 + e^(-x_1)) <= 1/(e^x + 1) < e^(-x), so the sum is
+      below N at ``log(Theta_0/N)`` and, when Theta_0 > N w, at least N at
+      ``log(Theta_0/N - w)``;
+    * bosons: e^(-x) < 1/(e^x - 1) <= e^(-x)/(1 - e^(-x_1)), so the sum is at
+      most N at ``log(Theta_0/N + w)``, which lies above the pole -b e_1, and,
+      when Theta_0 > N w, above N at ``log(Theta_0/N)``, then also above the
+      pole.
+
+    Two more ends replace these where they are poor.  For bosons the first
+    level alone holds N particles at x_1 = log(1 + 1/N), the tighter lower
+    end near the pole.  For fermions whose Fermi step is sharp, half a level
+    gap h = b (N + 1/2 - tau) of at least 2, both ends are those of the
+    filled-levels window, centre -+ width with width >= 4 b (N + 1).  At
+    the lower end x_(N+1) <= -3h, so the holes in the first N + 1 levels sum
+    to less than one; at the upper end x_N >= 3h, so the particles from
+    level N up sum to less than one.  The Boltzmann ends would lie on the
+    flank of the step, where Newton crawls towards the root by about one
+    unit of x per step; from the window's ends the root finder bisects
+    straight onto the plateau between the levels.
+
+    Theta_0 is summed to a relative error of 10^(-dps) and then widened by
+    10^(4 - dps) in the direction that keeps each bound valid.  Each end is
+    padded outward by 10^(4 - dps) max(1, |alpha|): with a single occupied
+    level a bound is tight, and rounding alone could put the end on the
+    wrong side of the root.  ``lo`` is None where no closed-form lower end
+    applies.
+    """
+    tau = as_mpf(side.tau)
+    e1 = as_mpf(side.e1)
+    w = mp.e ** (-b * e1)
+    # Theta_0 >= w, so the truncation error is a relative one
+    theta, _ = _theta0(b, tau, side.sigma, w * mpf(10) ** (-mp.dps))
+    rel = mpf(10) ** (4 - mp.dps)
+    theta_lo, theta_hi = theta * (1 - rel), theta * (1 + rel)
+    classical = theta_lo > N * w
+    lo = None
+    if stat.is_boson:
+        hi = mp.log(theta_hi / N + w)
+        lo = -b * e1 + mp.log1p(mpf(1) / N)
+        if classical:
+            lo = max(lo, mp.log(theta_lo / N))
+    elif b * (N + mpf(1) / 2 - tau) >= 2:
+        centre, width = _filled_levels_window(side, N, b)
+        lo, hi = centre - width, centre + width
+    else:
+        hi = mp.log(theta_hi / N)
+        if classical:
+            lo = mp.log(theta_lo / N - w)
+    hi += rel * max(1, abs(hi))
+    if lo is None:
+        return None, hi
+    lo -= rel * max(1, abs(lo))
+    if stat.is_boson and not lo + b * e1 > 0:
+        raise BracketFailure("no bracket above the bosonic pole")
+    return lo, hi
+
+
 def _bracket_alpha(stat: Statistics, side: WellSide, N: int, b: mpf,
                    g: Callable) -> tuple:
-    """Sign-changing bracket for the constraint g(alpha) = sum - N (decreasing)."""
-    e1 = as_mpf(side.e1)
-    # probe at the series-route boundary first: for small b that keeps the
-    # expensive direct evaluations out of the high-temperature path
-    start = mpf("0.5")
-    g0 = g(start)
-    if g0 == 0:
-        return start, start
-    if g0 > 0:
-        lo, flo = start, g0
-        step = mpf(1)
-        hi = start + step
-        while g(hi) > 0:
-            lo = hi
-            step *= 2
-            hi = lo + step
-            if hi > mpf("1e9"):
-                raise BracketFailure("constraint stays above N for very large alpha")
+    """Sign-changing bracket for the constraint g(alpha) = sum - N (decreasing).
+
+    The upper end always, and the lower end nearly always, come in closed
+    form from :func:`_closed_form_ends`: Boltzmann occupancy lies below the
+    Fermi and above the Bose occupancy, and the first level's factor
+    1 -+ e^(-x_1) bounds the ratio the other way; the ends are padded
+    outward against rounding.  Only fermions between the degenerate and the
+    classical regime (a soft Fermi step and Theta_0 <= N w) have no
+    closed-form lower end; it is then found by probing below the
+    filled-levels window, else by a descent from the upper end.  The
+    constraint sum is never probed at a fixed alpha.
+    """
+    lo, hi = _closed_form_ends(stat, side, N, b)
+    if lo is not None:
         return lo, hi
-    hi = start
-    if stat.is_boson:
-        # descend toward the simple pole at -b e_1 where the sum diverges
-        offset = b * mpf("1e-3")
-        floor = b * mpf(10) ** (-(mp.dps - 3))
-        while g(-b * e1 + offset) < 0:
-            offset /= 16
-            if offset < floor:
-                raise BracketFailure("no bracket above the bosonic pole")
-        return -b * e1 + offset, hi
-    # fermions: try a window around the filled-levels estimate, else descend
-    tau = as_mpf(side.tau)
-    guess = -(b / 2) * ((N - tau) ** 2 + (N + 1 - tau) ** 2)
-    width = max(mpf(1), 4 * b * (N + 1))
+    centre, width = _filled_levels_window(side, N, b)
     for _ in range(12):
-        lo = guess - width
-        if lo < hi and g(lo) > 0:
-            inner = guess + width
-            if inner < hi and g(inner) < 0:
-                hi = inner
+        lo = centre - width
+        if g(lo) > 0:
             return lo, hi
         width *= 4
     lo = hi - 1
@@ -425,37 +496,38 @@ def _solve_side(stat: Statistics, side: WellSide, N: int, t,
     while True:
         try:
             return _solve_side_at(stat, side, N, t, policy)
-        except MaxIterations:
+        except (MaxIterations, _SlopeLost):
             policy = policy.escalate()  # raises PrecisionExhausted at the cap
+
+
+def _sum_target(policy: PrecisionPolicy, b: mpf) -> mpf:
+    # the iteration and the final evaluation truncate at one depth, scaled
+    # with b: their mismatch enters the force error through a sensitivity
+    # that grows like t
+    return mpf(policy.target_abs_error) / 8 * min(1, b) / 1024
 
 
 def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
                    policy: PrecisionPolicy):
     with mp.workdps(policy.working_digits + GUARD_DIGITS):
         b = 1 / mpf(t)
-        # the iteration and the final evaluation truncate at one depth, scaled
-        # with b: their mismatch enters the force error through a sensitivity
-        # that grows like t
-        eps_sum = mpf(policy.target_abs_error) / 8 * min(1, b) / 1024
+        eps_sum = _sum_target(policy, b)
         memo: dict = {}
 
         def g(alpha):
-            # the bracket's last two probes are the root finder's end points
+            # a probed bracket end is also the root finder's end point
             if alpha not in memo:
                 number, dnumber = _number_sums(stat, side, alpha, b, eps_sum)
                 memo[alpha] = (number - N, dnumber)
             return memo[alpha]
 
         lo, hi = _bracket_alpha(stat, side, N, b, lambda alpha: g(alpha)[0])
-        if lo == hi:
-            root = lo
-        else:
-            root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
+        root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
         sums = _level_sums(stat, side, root, b, eps_sum)
         residual = abs(sums.number - N) + sums.tail_number
         slope = abs(sums.dnumber) - sums.tail_dnumber
         if not slope > 0:
-            raise PrecisionExhausted("constraint derivative lost below its tail bound")
+            raise _SlopeLost("constraint derivative lost below its tail bound")
         alpha_error = residual / slope
         sol = OccupancySolution(
             alpha=root,
@@ -632,12 +704,18 @@ def locate_inflections(stat: Statistics, N: int,
             return df(t - stencil) - 2 * df(t) + df(t + stencil)
 
         def refine(t_neg, t_pos):
-            # the refinement stencil differs from the grid spacing, so allow
-            # one widening step if the sign change shifted across a cell
+            # the refinement stencil differs from the grid spacing, so the
+            # sign change may have shifted across a cell on either side:
+            # widen each end that lost its sign
             for _ in range(3):
-                if d2_at(t_neg) < 0 < d2_at(t_pos):
+                neg_held, pos_held = d2_at(t_neg) < 0, d2_at(t_pos) > 0
+                if neg_held and pos_held:
                     break
-                t_neg, t_pos = t_neg - (t_pos - t_neg), t_pos
+                step = t_pos - t_neg
+                if not neg_held:
+                    t_neg -= step
+                if not pos_held:
+                    t_pos += step
             else:
                 raise StepNotFound("sign change lost during refinement")
             while abs(t_pos - t_neg) > mpf("1e-3") * N:

@@ -6,7 +6,12 @@ from mpmath import mp, mpf
 
 from partition_well import oracle
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
-from partition_well.numerics import GUARD_DIGITS, PrecisionExhausted, PrecisionPolicy
+from partition_well.numerics import (
+    DEFAULT_POLICY,
+    GUARD_DIGITS,
+    PrecisionExhausted,
+    PrecisionPolicy,
+)
 from partition_well.oracle import (
     OccupancySolution,
     locate_inflections,
@@ -66,6 +71,47 @@ class TestSolveAlpha:
                                  escalation_factor=1.1, max_iterations=4)
         with pytest.raises(PrecisionExhausted):
             solve_alpha(BOSON, W_MINUS, 100, 13.0, policy)
+
+
+class TestEscalation:
+    """Which failures of one solve buy more digits (default policy: 30, 60,
+    then the 120-digit cap)."""
+
+    @staticmethod
+    def _failing(monkeypatch, exc, digits, fail_at=None):
+        solve_at = oracle._solve_side_at
+
+        def patched(stat, side, N, t, policy):
+            digits.append(policy.working_digits)
+            if fail_at is None or policy.working_digits in fail_at:
+                raise exc
+            return solve_at(stat, side, N, t, policy)
+
+        monkeypatch.setattr(oracle, "_solve_side_at", patched)
+
+    def test_lost_slope_escalates(self, monkeypatch):
+        digits = []
+        lost = oracle._SlopeLost("constraint derivative lost below its tail bound")
+        self._failing(monkeypatch, lost, digits, fail_at={30})
+        assert solve_alpha(BOSON, W_MINUS, 10, 3).digits_used == 60
+        assert digits == [30, 60]
+
+    def test_lost_slope_ends_at_the_cap(self, monkeypatch):
+        digits = []
+        lost = oracle._SlopeLost("constraint derivative lost below its tail bound")
+        self._failing(monkeypatch, lost, digits)
+        with pytest.raises(PrecisionExhausted):
+            solve_alpha(BOSON, W_MINUS, 10, 3)
+        assert digits == [30, 60, 120]
+
+    def test_untruncated_sum_does_not_escalate(self, monkeypatch):
+        # the truncation target does not depend on the digits
+        digits = []
+        stuck = PrecisionExhausted("level sum did not truncate below the target")
+        self._failing(monkeypatch, stuck, digits)
+        with pytest.raises(PrecisionExhausted):
+            solve_alpha(BOSON, W_MINUS, 10, 3)
+        assert digits == [30]
 
 
 class TestConstraintResidual:
@@ -239,34 +285,118 @@ class TestMinimumAndInflections:
             locate_minimum(BOSON, 20, search_window=(mpf("2e4"), mpf("1e6")))
         assert "minimum" in str(info.value)
 
+    def test_inflections_survive_a_shifted_window(self):
+        # the sign change of the refinement stencil moves past the grid cell
+        # on the side of the convex stretch here; widening only the other
+        # side lost it
+        t_begin, t_end = locate_inflections(
+            FERMION, 3, window=(mpf("0.152661"), mpf("3.05323")))
+        assert abs(t_begin - mpf("0.80470412")) < mpf("3e-3")
+        assert abs(t_end - mpf("1.5096243")) < mpf("3e-3")
+
     def test_inflections_require_fermions(self):
         with pytest.raises(ValueError):
             locate_inflections(BOSON, 100)
 
 
 class TestRootCounters:
-    """Constraint solves pinned in root-finder evaluations (end points
-    included), minus side then plus side.  The bisection/secant solve needed
-    20/20, 18/19, 16/18 and 22/19 at these cells."""
+    """Constraint solves pinned in work per side, minus side then plus side:
+    root-finder evaluations (end points included) and ``_number_sums``
+    calls (bracket probes included).  With a series probe at alpha = 1/2
+    opening every bracket these were 13/13, 7/7, 7/7, 7/7 evaluations and
+    13/13, 8/8, 8/8, 7/7 calls; the bisection/secant solve before that
+    needed 20/20, 18/19, 16/18 and 22/19 evaluations."""
 
-    @pytest.mark.parametrize("stat,N,t,counts", [
-        (BOSON, 100, "55", [13, 13]),
-        (FERMION, 100, "4440", [7, 7]),
-        (BOSON, 100, "1e7", [7, 7]),
-        (BOSON, 8, "0.01", [7, 7]),
-    ])
-    def test_evaluations_per_side(self, monkeypatch, stat, N, t, counts):
-        seen = []
+    @staticmethod
+    def _count(monkeypatch):
+        """Wrap the root finder and the level sums; returns (evals, calls,
+        series) lists with one entry per solve."""
+        evals, calls, series = [], [], []
+        pending = {"calls": 0}
         solve = oracle.find_root_bracketed
+        number_sums = oracle._number_sums
+        number_sums_series = oracle._number_sums_series
+        level_sums_series = oracle._level_sums_series
 
-        def counting(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             result = solve(*args, **kwargs)
-            seen.append(result.evaluations)
+            # the solve's number-only sums are complete once its root is found
+            evals.append(result.evaluations)
+            calls.append(pending["calls"])
+            pending["calls"] = 0
             return result
 
-        monkeypatch.setattr(oracle, "find_root_bracketed", counting)
+        def counting_sums(*args, **kwargs):
+            pending["calls"] += 1
+            return number_sums(*args, **kwargs)
+
+        def counting_series(real):
+            def wrapped(*args, **kwargs):
+                series.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(oracle, "find_root_bracketed", counting_solve)
+        monkeypatch.setattr(oracle, "_number_sums", counting_sums)
+        monkeypatch.setattr(oracle, "_number_sums_series",
+                            counting_series(number_sums_series))
+        monkeypatch.setattr(oracle, "_level_sums_series",
+                            counting_series(level_sums_series))
+        return evals, calls, series
+
+    @pytest.mark.parametrize("stat,N,t,counts", [
+        (BOSON, 100, "55", dict(evals=[8, 8], calls=[8, 8])),
+        (FERMION, 100, "4440", dict(evals=[7, 7], calls=[7, 7])),
+        (BOSON, 100, "1e7", dict(evals=[6, 6], calls=[6, 6])),
+        (BOSON, 8, "0.01", dict(evals=[2, 2], calls=[2, 2])),
+    ])
+    def test_evaluations_per_side(self, monkeypatch, stat, N, t, counts):
+        evals, calls, _ = self._count(monkeypatch)
         net_force(stat, N, mpf(t))
-        assert seen == counts
+        assert evals == counts["evals"]
+        assert calls == counts["calls"]
+
+    @pytest.mark.parametrize("stat,N", [(BOSON, 6), (FERMION, 3)])
+    def test_medium_regime_stays_off_the_series_route(self, monkeypatch, stat, N):
+        # b = 1/5 is below the route switch at 1/2, but the roots lie below
+        # alpha = 1/2 and so must every bracket end
+        _, calls, series = self._count(monkeypatch)
+        net_force(stat, N, mpf(5))
+        assert len(calls) == 2 and all(calls)
+        assert series == []
+
+
+class TestClosedFormEnds:
+    """The closed-form bracket ends straddle the root as the solver sees the
+    constraint: number-only sums at working precision and its truncation
+    target."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stat=st.sampled_from([BOSON, FERMION]),
+           side=st.sampled_from([W_MINUS, W_PLUS]),
+           N=st.integers(1, 10 ** 4),
+           log10_t=st.floats(-2, 8))
+    # a single occupied level, where the Boltzmann bounds are tight
+    @example(stat=BOSON, side=W_MINUS, N=8, log10_t=-2.0)
+    @example(stat=BOSON, side=W_PLUS, N=8, log10_t=-2.0)
+    @example(stat=FERMION, side=W_MINUS, N=1, log10_t=-2.0)
+    @example(stat=FERMION, side=W_PLUS, N=1, log10_t=-2.0)
+    def test_ends_straddle_the_root(self, stat, side, N, log10_t):
+        policy = DEFAULT_POLICY
+        with mp.workdps(policy.working_digits + GUARD_DIGITS):
+            b = 1 / mpf(10) ** log10_t
+            eps = oracle._sum_target(policy, b)
+            lo, hi = oracle._closed_form_ends(stat, side, N, b)
+
+            def g(alpha):
+                return oracle._number_sums(stat, side, alpha, b, eps)[0] - N
+
+            assert g(hi) < 0
+            if stat.is_boson:
+                assert lo is not None and lo + b * as_mpf(side.e1) > 0
+            if lo is not None:
+                assert lo < hi
+                assert g(lo) > 0
 
 
 class TestNumberSums:
