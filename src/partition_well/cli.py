@@ -37,6 +37,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# solver failures: exit 3 wherever they surface, never a blank compare cell
+SOLVER_FAILURES = (MaxIterations, PrecisionExhausted, NoSignChange, NonConvergent)
+
 
 class UsageError(ValueError):
     pass
@@ -314,13 +317,20 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
             _, fn = APPROXIMATIONS[name]
             try:
                 approx = fn(cfg.particles_N, t, cfg.stat)
-                abs_err = abs(approx - exact)
-                rel_err = abs_err / abs(exact)
-                window = _regime_window(cfg.stat, cfg.particles_N, t)
-                stats.setdefault((name, window), []).append(rel_err)
-                rows.append((t, exact, name, approx, abs_err, rel_err))
-            except Exception:  # noqa: BLE001 - outside the variant's domain
+            except SOLVER_FAILURES as exc:  # before ValueError: NoSignChange is one
+                print(f"numeric failure in {name} at t = {_fmt(t, 12)}: {exc}",
+                      file=sys.stderr)
+                return EXIT_NUMERIC
+            except (ValueError, ZeroDivisionError):
+                # outside the variant's domain: VariantDomainError, OutOfRange,
+                # a tanh-surrogate pole or an invalid argument
                 rows.append((t, exact, name, None, None, None))
+                continue
+            abs_err = abs(approx - exact)
+            rel_err = abs_err / abs(exact)
+            window = _regime_window(cfg.stat, cfg.particles_N, t)
+            stats.setdefault((name, window), []).append(rel_err)
+            rows.append((t, exact, name, approx, abs_err, rel_err))
     summary = []
     for (name, window), errs in sorted(stats.items()):
         errs = sorted(errs)
@@ -500,8 +510,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (oracle.BracketFailure, oracle.StepNotFound, oracle.NotUnimodal,
-            oracle.SweepFailure, MaxIterations, PrecisionExhausted, NoSignChange,
-            NonConvergent) as exc:
+            oracle.SweepFailure) + SOLVER_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

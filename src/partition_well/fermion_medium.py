@@ -13,13 +13,22 @@ so the force minimum is the minimum of the kernel J.  Three evaluation
 variants are provided: direct quadrature (the precise route), the truncated
 asymptotic series for I paired with its further-truncated derivative, and a
 tanh-shaped surrogate of the integrand that admits closed forms.
+
+The quadrature route always evaluates I and I' = -integral s (1 - s) dy as
+one pair: a single quadrature of the complex integrand s - i s (1 - s), so
+the occupancy s(y) = 1/(exp(alpha + y^2) + 1) is computed once per node for
+both.  Once the Fermi edge y = sqrt(-alpha) lies beyond y = 4, the
+quadrature adds breakpoints at the edge and a few edge widths
+1/sqrt(-alpha) around it.  alpha(N, t) inverts I(alpha) = N/sqrt(t)
+by safeguarded Newton steps on (I - N/sqrt(t), I'), one pair per step,
+between ends taken in closed form from bounds on I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy, \
     find_root_bracketed, quad_semi_infinite
@@ -68,21 +77,31 @@ def _check_variant(alpha, variant: str, pure_series_derivative: bool):
         raise ValueError("pure_series_derivative only applies to the stoner variant")
 
 
-def _quad_I(alpha: mpf, policy: PrecisionPolicy) -> mpf:
-    return quad_semi_infinite(lambda y: 1 / (mp.e ** (alpha + y * y) + 1), policy)
+# the Fermi edge y = sqrt(-alpha) needs its own breakpoints beyond this point
+_EDGE_MIN = 4
 
 
-def _quad_I_prime(alpha: mpf, policy: PrecisionPolicy) -> mpf:
-    def slope(y):
-        s = 1 / (mp.e ** (alpha + y * y) + 1)
-        return -s * (1 - s)
+def _quad_pair(alpha: mpf, policy: PrecisionPolicy):
+    """(I, I') from one quadrature of the complex integrand s - i s (1 - s).
 
-    return quad_semi_infinite(slope, policy)
+    Both integrals share every node, so the occupancy s(y) = 1/(exp(alpha +
+    y^2) + 1) is computed once per node and nothing is kept between nodes.
+    """
+    def integrand(y):
+        s = 1 / (mp.exp(alpha + y * y) + 1)
+        return mpc(s, -s * (1 - s))
+
+    edge = None
+    if alpha < -_EDGE_MIN ** 2:
+        y0 = mp.sqrt(-alpha)
+        edge = (y0, 1 / y0)
+    v = quad_semi_infinite(integrand, policy, edge)
+    return v.real, v.imag
 
 
 def _surrogate_pieces(alpha: mpf):
     """p, I, I^2 and d(I^2)/dalpha of the tanh-shaped surrogate."""
-    E = mp.e ** alpha
+    E = mp.exp(alpha)
     E2 = E * E
     p = (1 + E2) / (1 + E)
     dp = (2 * E2 * (1 + E) - E * (1 + E2)) / (1 + E) ** 2
@@ -97,8 +116,10 @@ def fermi_integral(alpha, variant: str = "quadrature",
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> FermiIntegralValue:
     """Fermi-Dirac integral I(alpha) and its derivative.
 
-    * ``quadrature`` - adaptive quadrature of the integrand and of its
-      alpha-derivative (valid for all alpha);
+    * ``quadrature`` - adaptive quadrature of the integrand s and of its
+      alpha-derivative -s (1 - s) together, as the real and imaginary parts
+      of one integrand, with breakpoints around the Fermi edge
+      y = sqrt(-alpha) once it lies beyond y = 4 (valid for all alpha);
     * ``stoner`` - I = sqrt(-alpha) [1 - (pi^2/24)/alpha^2] with the
       further-truncated derivative magnitude 1/(2 sqrt(-alpha)); setting
       ``pure_series_derivative`` instead differentiates the truncated series
@@ -110,8 +131,7 @@ def fermi_integral(alpha, variant: str = "quadrature",
         alpha = mpf(alpha)
         _check_variant(alpha, variant, pure_series_derivative)
         if variant == "quadrature":
-            return FermiIntegralValue(alpha, _quad_I(alpha, policy),
-                                      _quad_I_prime(alpha, policy), variant)
+            return FermiIntegralValue(alpha, *_quad_pair(alpha, policy), variant)
         if variant == "stoner":
             root = mp.sqrt(-alpha)
             corr = mp.pi ** 2 / 24 / alpha ** 2
@@ -138,9 +158,9 @@ def force_kernel(alpha, variant: str = "quadrature",
         if variant == "tanh_surrogate":
             _check_variant(alpha, variant, pure_series_derivative)
             _, _, _, dI2 = _surrogate_pieces(alpha)
-            return -2 / ((mp.e ** alpha + 1) * dI2)
+            return -2 / ((mp.exp(alpha) + 1) * dI2)
         v = fermi_integral(alpha, variant, pure_series_derivative, policy)
-        return -1 / ((mp.e ** alpha + 1) * v.I * v.I_prime)
+        return -1 / ((mp.exp(alpha) + 1) * v.I * v.I_prime)
 
 
 def force_kernel_minimum(variant: str = "quadrature",
@@ -170,28 +190,75 @@ def force_kernel_minimum(variant: str = "quadrature",
         return a, J(a)
 
 
+# the maximum of Dawson's integral F(x) = e^(-x^2) integral_0^x e^(u^2) du,
+# rounded up (F(0.9241...) = 0.54104...)
+_DAWSON_MAX = mpf("0.5411")
+
+
+def _closed_form_ends(target: mpf):
+    """Padded ends (lo, hi) with I(lo) > target > I(hi), from closed bounds on I.
+
+    Upper end: Boltzmann occupancy bounds the Fermi one from above, so
+    I < (sqrt(pi)/2) e^(-alpha) and hi = log((sqrt(pi)/2)/target).  For
+    alpha = -y0^2 < 0 also s <= 1 below the edge and s < e^(-2 y0 (y - y0))
+    beyond it, so I < y0 + 1/(2 y0); when target > sqrt(2) this gives
+    hi = -y0^2 at y0 = (target + sqrt(target^2 - 2))/2.
+
+    Lower end: 1/(x + 1) >= 1 - x gives s >= 1 - exp(alpha + y^2), so at
+    alpha = -y0^2 the part of I below the edge is at least y0 - F(y0), with
+    F Dawson's integral, and I > y0 - max F; hence lo = -(target + max F)^2.
+    And exp(alpha + y^2) + 1 <= (e^alpha + 1) e^(y^2) gives I >= (sqrt(pi)/2)
+    / (e^alpha + 1), hence lo = log((sqrt(pi)/2)/target - 1) when target <
+    sqrt(pi)/2.
+
+    The tighter candidate is taken at each end, and both ends are padded
+    outward by 10^(4 - dps) max(1, |x|).
+    """
+    half_root_pi = mp.sqrt(mp.pi) / 2
+    hi = mp.log(half_root_pi / target)
+    if target > mp.sqrt(2):
+        y0 = (target + mp.sqrt(target ** 2 - 2)) / 2
+        hi = min(hi, -y0 ** 2)
+    lo = -(target + _DAWSON_MAX) ** 2
+    if target < half_root_pi:
+        lo = max(lo, mp.log(half_root_pi / target - 1))
+    pad = mpf(10) ** (4 - mp.dps)
+    return lo - pad * max(1, abs(lo)), hi + pad * max(1, abs(hi))
+
+
 def alpha_from_temperature(N: int, t, variant: str = "quadrature",
                            policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
     """Invert the collapsed constraint I(alpha) = N/sqrt(t).
 
     Depends on (N, t) only through N/sqrt(t), so alpha(N, t) = alpha(k N,
-    k^2 t) identically.  Raises :class:`VariantDomainError` when the target
-    is not reachable on the variant's monotone domain.
+    k^2 t) identically.  The quadrature route takes safeguarded Newton steps
+    on (I - N/sqrt(t), I'), one paired evaluation per step, inside the
+    closed-form ends of :func:`_closed_form_ends`; it reaches every
+    positive target.  The other variants bracket on their monotone domain
+    and raise :class:`VariantDomainError` when the target is not reachable
+    there.
     """
     with mp.workdps(policy.working_digits + GUARD_DIGITS):
         t = mpf(t)
         if not (t > 0 and N >= 1):
             raise ValueError("need t > 0 and N >= 1")
         target = N / mp.sqrt(t)
-        I = lambda a: fermi_integral(a, variant, policy=policy).I
+        if variant == "quadrature":
+            def residual(a):
+                v = fermi_integral(a, variant, policy=policy)
+                return v.I - target, v.I_prime
 
+            lo, hi = _closed_form_ends(target)
+            return find_root_bracketed(residual, lo, hi, policy, derivative=True).root
+
+        I = lambda a: fermi_integral(a, variant, policy=policy).I
         if variant == "stoner":
             lo, hi = STONER_INTERVAL
             if not I(hi) <= target <= I(lo):
                 raise VariantDomainError(
                     f"N/sqrt(t) = {mp.nstr(target, 6)} outside the stoner range "
                     f"[{mp.nstr(I(hi), 6)}, {mp.nstr(I(lo), 6)}]")
-        elif variant == "tanh_surrogate":
+        else:  # tanh_surrogate; fermi_integral rejects unknown variants
             # the surrogate is monotone only left of its spurious pole near 0
             hi = mpf("-0.7")
             if target < I(hi):
@@ -201,16 +268,6 @@ def alpha_from_temperature(N: int, t, variant: str = "quadrature",
             while I(lo) < target:
                 lo = 2 * lo
                 if lo < mpf("-1e9"):
-                    raise VariantDomainError("target not reachable")
-        else:
-            lo, hi = mpf(-1), mpf(1)
-            while I(lo) < target:
-                lo *= 2
-                if lo < mpf("-1e12"):
-                    raise VariantDomainError("target not reachable")
-            while I(hi) > target:
-                hi *= 2
-                if hi > mpf("1e12"):
                     raise VariantDomainError("target not reachable")
         res = find_root_bracketed(lambda a: I(a) - target, lo, hi, policy)
         return res.root
@@ -236,7 +293,7 @@ def alpha_split_subleading(N: int, alpha, variant: str = "quadrature",
     """
     with mp.workdps(policy.working_digits + GUARD_DIGITS):
         v = fermi_integral(alpha, variant, policy=policy)
-        return v.I / ((mp.e ** v.alpha + 1) * v.I_prime) / (2 * N)
+        return v.I / ((mp.exp(v.alpha) + 1) * v.I_prime) / (2 * N)
 
 
 def tanh_surrogate_quadratic(policy: PrecisionPolicy = DEFAULT_POLICY,
@@ -253,7 +310,7 @@ def tanh_surrogate_quadratic(policy: PrecisionPolicy = DEFAULT_POLICY,
         def J(a):
             # ambient-precision closure: mp.diff varies its working precision
             _, _, _, dI2 = _surrogate_pieces(mpf(a))
-            return -2 / ((mp.e ** a + 1) * dI2)
+            return -2 / ((mp.exp(a) + 1) * dI2)
 
         J0 = J(a_star)
         J1 = mp.diff(J, a_star)

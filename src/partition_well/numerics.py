@@ -385,7 +385,8 @@ def _gaussian_bound_factory(a):
 
 
 def quad_semi_infinite(integrand: Callable,
-                       policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
+                       policy: PrecisionPolicy = DEFAULT_POLICY,
+                       edge=None):
     """Integrate a decaying integrand over [0, inf) to ``target_abs_error``.
 
     Probes the decay beyond y = 8.  Gaussian-like integrands are cut at a
@@ -393,20 +394,36 @@ def quad_semi_infinite(integrand: Callable,
     :func:`gaussian_tail_upper_bound`) is negligible; slower decaying ones
     are handed to the variable-transformed infinite-interval rule.  Raises
     :class:`NonConvergent` when the quadrature error estimate stays above
-    the target.
+    the target.  A complex-valued integrand has its real and imaginary parts
+    integrated on the same nodes.
+
+    ``edge = (y0, w)`` marks a step of width ``w`` at ``y0`` that the fixed
+    breakpoints 0, 1, 2, 4, 8, ... would miss.  The breakpoints then sit at
+    y0, y0 -+ w 2^k (k = 0..5) and y0 + 1, 2, 4, ..., and the decay is probed
+    on the shifted integrand f(y0 + u), so the cut lies the same distance
+    past the edge as it would past 0.
     """
     with mp.workdps(policy.working_digits + GUARD_DIGITS):
         target = mpf(policy.target_abs_error)
-        f = lambda y: mpf(integrand(y))
+        f = lambda y: mp.mpmathify(integrand(y))
 
-        cut = _gaussian_cutoff(f, target)
+        if edge is None:
+            start = mpf(0)
+            grid = [mpf(1), mpf(2), mpf(4)] + [mpf(8) * 2 ** k for k in range(20)]
+        else:
+            start, w = map(mpf, edge)
+            steps = [w * 2 ** k for k in range(6)]
+            grid = sorted([start - s for s in steps if s < start] + [start]
+                          + [start + s for s in steps + [mpf(2) ** k for k in range(20)]])
+        cut = _gaussian_cutoff(lambda u: f(start + u), target)
         if cut is not None:
-            points = [mpf(0), mpf(1), mpf(2), mpf(4)] + [mpf(8) * 2 ** k for k in range(20)]
-            points = [p for p in points if p < cut] + [cut]
+            cut += start
+            points = [mpf(0)] + [p for p in grid if p < cut] + [cut]
             val, err = mp.quad(f, points, error=True)
             err = err + target / 4  # tail certificate folded into the estimate
         else:
-            points = [mpf(0), mpf(1), mpf(2), mpf(4), mpf(8), mpf(16), mpf(64), mp.inf]
+            points = [mpf(0)] + [p for p in grid if p <= start + 16]
+            points += [start + 64, mp.inf]
             val, err = mp.quad(f, points, error=True)
         if err > target and err > abs(val) * mpf(policy.target_rel_error):
             # one retry at higher degree before giving up

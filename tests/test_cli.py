@@ -4,8 +4,9 @@ import os
 import pytest
 from mpmath import mp, mpf
 
-from partition_well import oracle
+from partition_well import cli, oracle
 from partition_well.cli import GridSpec, main
+from partition_well.fermion_medium import VariantDomainError
 from partition_well.numerics import (MaxIterations, NoSignChange, NonConvergent,
                                      PrecisionExhausted)
 
@@ -144,6 +145,28 @@ class TestCompare:
                 if not l.startswith("#") and l]
         stoner_rows = [r for r in rows[1:] if r.split(",")[2] == "fermion_stoner"]
         assert any(r.endswith(",,,") or ",,," in r for r in stoner_rows)
+
+    @pytest.mark.parametrize("exc", [MaxIterations, PrecisionExhausted,
+                                     NoSignChange, NonConvergent])
+    def test_solver_failures_exit_3_naming_t(self, exc, monkeypatch, capsys):
+        def fail(N, t, stat):
+            raise exc("injected")
+
+        monkeypatch.setitem(cli.APPROXIMATIONS, "fermion_stoner", ("fermion", fail))
+        assert run_cli(["compare", "--stat", "fermion", "--N", "4", "--t", "2:2:1:log",
+                        "--approx", "fermion_stoner"]) == 3
+        err = capsys.readouterr().err
+        assert "fermion_stoner at t = 2.0: injected" in err
+
+    def test_domain_error_leaves_blank_cell(self, monkeypatch, capsys):
+        def outside(N, t, stat):
+            raise VariantDomainError("injected")
+
+        monkeypatch.setitem(cli.APPROXIMATIONS, "fermion_stoner", ("fermion", outside))
+        assert run_cli(["compare", "--stat", "fermion", "--N", "4", "--t", "2:2:1:log",
+                        "--approx", "fermion_stoner", "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("2.0,") and row.endswith(",fermion_stoner,,,")
 
     def test_summary_lines_in_csv(self, tmp_path):
         out = tmp_path / "cmp2.csv"

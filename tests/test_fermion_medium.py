@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+from partition_well import fermion_medium
 from partition_well.fermion_medium import (
     STONER_INTERVAL,
     VariantDomainError,
@@ -13,6 +15,7 @@ from partition_well.fermion_medium import (
     tanh_surrogate_quadratic,
 )
 from partition_well.model import FERMION, W_MINUS, W_PLUS
+from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS
 from partition_well.oracle import net_force, solve_alpha
 
 
@@ -51,6 +54,21 @@ class TestFermiIntegral:
         vals = [fermi_integral(a, "quadrature").I for a in alphas]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
+    # the Fermi edge y = sqrt(-alpha) inside and far beyond the fixed breakpoints
+    @pytest.mark.parametrize("alpha", ["-2.5", "-324", "-900"])
+    def test_matches_polylog_closed_forms(self, alpha):
+        # DLMF 25.12(iii): I = -(sqrt(pi)/2) Li_{1/2}(-e^-alpha) and
+        # I' = (sqrt(pi)/2) Li_{-1/2}(-e^-alpha); for alpha < 0 polylog
+        # returns an mpc whose imaginary part is rounding noise
+        alpha = mpf(alpha)
+        v = fermi_integral(alpha, "quadrature")
+        with mp.workdps(40):
+            z = -mp.exp(-alpha)
+            I = -mp.sqrt(mp.pi) / 2 * mp.re(mp.polylog(mpf(1) / 2, z))
+            Ip = mp.sqrt(mp.pi) / 2 * mp.re(mp.polylog(-mpf(1) / 2, z))
+        assert abs(v.I / I - 1) < mpf("1e-20")
+        assert abs(v.I_prime / Ip - 1) < mpf("1e-20")
+
     @pytest.mark.parametrize("alpha", [-3, -2, -1, 0])
     def test_derivative_matches_finite_differences(self, alpha):
         h = mpf("1e-6")
@@ -78,12 +96,48 @@ class TestAlphaFromTemperature:
         avg = (plus + minus) / 2
         assert abs(approx - avg) / abs(avg) < mpf("0.05")
 
+    @pytest.mark.parametrize("t", [25, 100, 2500])
+    def test_newton_work_at_compare_points(self, t, monkeypatch):
+        evals, quads = [], []
+        solve = fermion_medium.find_root_bracketed
+        quad = fermion_medium.quad_semi_infinite
+
+        def counting_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            evals.append(result.evaluations)
+            return result
+
+        def counting_quad(*args, **kwargs):
+            quads.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(fermion_medium, "find_root_bracketed", counting_solve)
+        monkeypatch.setattr(fermion_medium, "quad_semi_infinite", counting_quad)
+        alpha_from_temperature(10, t, "quadrature")
+        # one quadrature gives I and I' together
+        assert evals == [7]
+        assert len(quads) == evals[0]
+
     def test_unreachable_values_rejected(self):
         with pytest.raises(VariantDomainError):
             alpha_from_temperature(100, mpf("1e-2"), "stoner")
         with pytest.raises(VariantDomainError):
             # N/sqrt(t) below the surrogate's reachable branch
             alpha_from_temperature(1, mpf("1e8"), "tanh_surrogate")
+
+
+class TestClosedFormEnds:
+    @settings(max_examples=15, deadline=None)
+    @given(log10_target=st.floats(-3, 2))
+    # the targets at which a candidate end starts or stops applying
+    @example(log10_target=float(mp.log10(mp.sqrt(mp.pi) / 2)))
+    @example(log10_target=float(mp.log10(mp.sqrt(2))))
+    def test_ends_straddle_the_root(self, log10_target):
+        with mp.workdps(DEFAULT_POLICY.working_digits + GUARD_DIGITS):
+            target = mpf(10) ** log10_target
+            lo, hi = fermion_medium._closed_form_ends(target)
+        assert lo < hi
+        assert fermi_integral(lo, "quadrature").I > target > fermi_integral(hi, "quadrature").I
 
 
 class TestForceKernel:
@@ -150,6 +204,14 @@ class TestMediumNetForce:
         model = fermion_medium_net_force(100, t, "quadrature")
         exact = net_force(FERMION, 100, t).delta_f
         assert abs(model - exact) / exact < mpf("0.05")
+
+    @pytest.mark.parametrize("N, t", [(100, 30), (200, 1)])
+    def test_deep_fermi_edge(self, N, t):
+        # N/sqrt(t) = 18.3 and 200: the Fermi edge lies at y = 18 and 200,
+        # where the kernel approaches its degenerate limit J = 2
+        val = fermion_medium_net_force(N, t, "quadrature")
+        assert mp.isfinite(val)
+        assert abs(val / (N ** 2 / 2) - 1) < mpf("1e-4")
 
     def test_tanh_variant_evaluates(self):
         val = fermion_medium_net_force(100, 4660, "tanh_surrogate")

@@ -230,3 +230,10 @@ class TestQuadSemiInfinite:
         # integrand ~ 1/y^2 at infinity still integrates correctly
         val = quad_semi_infinite(lambda y: 1 / (1 + y * y))
         assert abs(val - mp.pi / 2) < 1e-12
+
+    @pytest.mark.parametrize("a, k", [(20, 40), (150, 300)])
+    def test_step_at_marked_edge(self, a, k):
+        # integral_0^inf dy / (exp(k (y - a)) + 1) = a + log(1 + e^(-k a))/k
+        val = quad_semi_infinite(lambda y: 1 / (mp.exp(k * (y - a)) + 1),
+                                 edge=(a, mpf(1) / k))
+        assert abs(val - (a + mp.log1p(mp.exp(-k * a)) / k)) < 1e-20
