@@ -17,7 +17,6 @@ from .model import (
     W_PLUS,
     PhysicalConfig,
     Statistics,
-    ThermoPoint,
     WellSide,
     energy_level,
     physical_force,
@@ -44,7 +43,6 @@ __all__ = [
     "W_PLUS",
     "PhysicalConfig",
     "Statistics",
-    "ThermoPoint",
     "WellSide",
     "energy_level",
     "physical_force",

@@ -26,7 +26,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .model import W_MINUS, W_PLUS, WellSide, as_mpf
-from .numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy, \
+from .numerics import DEFAULT_POLICY, PrecisionPolicy, \
     find_root_bracketed, quad_semi_infinite
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "alpha_zero_temperatures",
     "medium_error_integral_constants",
 ]
-
-_WORK_DPS = 40
 
 METHODS = ("exact_S_solve", "series_inversion", "tanh_saturation", "tanh_pade")
 
@@ -108,7 +106,7 @@ def alpha_zero_temperatures(N: int):
     """
     if N < 1:
         raise ValueError("N must be positive")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         return 2 * N / mp.pi ** 2, 6 * N / mp.pi ** 2
 
 
@@ -145,7 +143,7 @@ def _pade_inversion_coefficients():
     The Pade surrogate of tanh matches value and first two derivatives at
     the expansion point, so the exact S_plus derivatives may be used.
     """
-    with mp.workdps(_WORK_DPS + 10):
+    with mp.workdps(DEFAULT_POLICY.dps + 10):
         z_star = (mpf(3) / mp.pi) ** 2
         F = lambda z: spectral_sum(W_PLUS, z)
         F0 = F(z_star)
@@ -172,7 +170,7 @@ def solve_scaled_alpha(side: WellSide, N: int, t, method: str = "exact_S_solve",
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         t = mpf(t)
         if not (t > 0 and N >= 1):
             raise ValueError("need t > 0 and N >= 1")
@@ -205,7 +203,7 @@ def boson_medium_net_force(N: int, t, sol_plus: ScaledAlphaSolution,
 
     Both scaled-alpha solutions must belong to the same (N, t) point.
     """
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         t = mpf(t)
         w = t / N
         if sol_plus.side.side != "plus" or sol_minus.side.side != "minus":
@@ -224,7 +222,7 @@ def quadratic_approximant(variant: str = "improved"):
     the saturation by the Pade-based inversion; its coefficients are
     recomputed here rather than frozen.
     """
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         if variant == "naive":
             return mp.pi ** 2 / 14, 6 / mp.pi ** 2, 6 / mp.pi ** 2
         if variant != "improved":
@@ -244,7 +242,7 @@ def quadratic_approximant(variant: str = "improved"):
 
 def _bose_defect_series_terms(nterms: int = 14):
     """Coefficients c_k of 1/(e^z - 1) - 1/z = -1/2 + sum_k c_k z^{2k-1}."""
-    with mp.workdps(_WORK_DPS + 10):
+    with mp.workdps(DEFAULT_POLICY.dps + 10):
         return [mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, nterms + 1)]
 
 
@@ -298,7 +296,7 @@ def medium_error_integral_constants(policy: PrecisionPolicy = DEFAULT_POLICY):
     Integrals over [0, inf) of the two defect integrands; they multiply t
     and alpha in the error estimate of the classical-occupancy constraint.
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         first = quad_semi_infinite(occupancy_defect_integrand, policy)
         second = quad_semi_infinite(occupancy_defect_slope_integrand, policy)
         return first, second

@@ -26,8 +26,7 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .model import BOSON, FERMION, Statistics, W_MINUS, W_PLUS
-from .numerics import (DEFAULT_POLICY, GUARD_DIGITS, MaxIterations, NoSignChange,
-                       NonConvergent, PrecisionExhausted, PrecisionPolicy)
+from .numerics import DEFAULT_POLICY, SOLVER_FAILURES, PrecisionPolicy
 from . import boson_medium, equilibrium, fermion_medium, hightemp, lowtemp, oracle
 
 SCHEMA_VERSION = "1"
@@ -36,9 +35,6 @@ ENV_CONFIG = "PARTITION_WELL_CONFIG"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-# solver failures: exit 3 wherever they surface, never a blank compare cell
-SOLVER_FAILURES = (MaxIterations, PrecisionExhausted, NoSignChange, NonConvergent)
 
 
 class UsageError(ValueError):
@@ -58,14 +54,17 @@ class GridSpec:
         lo, hi, n = mpf(self.t_min), mpf(self.t_max), self.points
         if n == 1:
             return [lo]
-        with mp.workdps(DEFAULT_POLICY.working_digits + GUARD_DIGITS):
+        with mp.workdps(DEFAULT_POLICY.dps):
             if self.spacing == "log":
                 step = (mp.log(hi) - mp.log(lo)) / (n - 1)
                 inner = [mp.e ** (mp.log(lo) + i * step) for i in range(1, n - 1)]
             else:
                 step = (hi - lo) / (n - 1)
                 inner = [lo + i * step for i in range(1, n - 1)]
-        return [lo] + [mpf(t) for t in inner] + [hi]
+        ts = [lo] + [mpf(t) for t in inner] + [hi]
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise UsageError("grid points coincide at the ambient precision")
+        return ts
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,8 @@ class RunConfig:
                 raise UsageError("grid requires t_min < t_max")
         if self.grid.points < 1:
             raise UsageError("grid needs at least one point")
+        if not 0 < self.grid.t_min < mp.inf or not self.grid.t_max < mp.inf:
+            raise UsageError("grid temperatures must be positive and finite")
         if self.grid.spacing not in ("log", "linear"):
             raise UsageError(f"unknown spacing {self.grid.spacing!r}")
         if self.format not in ("csv", "json"):
@@ -241,42 +242,22 @@ def _regime_window(stat: Statistics, N: int, t) -> str:
     return "medium"
 
 
-# ---------------------------------------------------------------------------
-# sweep worker (top level so that process pools can pickle it)
-
-def _curve_worker(payload):
-    stat_kind, N, t_str, digits, abs_tol = payload
-    stat = BOSON if stat_kind == "boson" else FERMION
-    policy = PrecisionPolicy(target_abs_error=abs_tol, target_rel_error=abs_tol)
-    try:
-        point = oracle.net_force(stat, N, mpf(t_str), policy)
-    except Exception as exc:  # noqa: BLE001 - transported to the parent
-        return ("error", t_str, f"{type(exc).__name__}: {exc}")
-    return ("ok",) + tuple(_fmt(v, digits) for v in (
-        point.t, point.alpha_plus, point.alpha_minus, point.f_plus,
-        point.f_minus, point.delta_f, point.delta_f_error))
-
-
 CURVE_COLUMNS = ("t", "alpha_plus", "alpha_minus", "f_plus", "f_minus",
                  "delta_f", "delta_f_error")
 
 
+def _sweep(cfg: RunConfig) -> list:
+    """The exact curve on the configured grid, over ``jobs`` processes."""
+    args = (cfg.stat, cfg.particles_N, cfg.grid.temperatures(), cfg.policy)
+    if cfg.jobs == 1:
+        return oracle.sweep_curve(*args)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        return oracle.sweep_curve(*args, map=pool.map)
+
+
 def _run_curve(cfg: RunConfig, out_stream) -> int:
-    ts = cfg.grid.temperatures()
-    payloads = [(cfg.statistics, cfg.particles_N, mp.nstr(t, 25), cfg.digits,
-                 cfg.abs_tol) for t in ts]
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_curve_worker, payloads))
-    else:
-        results = [_curve_worker(p) for p in payloads]
-    failures = [(i, r[1], r[2]) for i, r in enumerate(results) if r[0] == "error"]
-    if failures:
-        for i, t_str, msg in failures:
-            print(f"numeric failure at grid point {i} (t = {t_str}): {msg}",
-                  file=sys.stderr)
-        return EXIT_NUMERIC
-    rows = [r[1:] for r in results]
+    rows = [tuple(_fmt(getattr(point, col), cfg.digits) for col in CURVE_COLUMNS)
+            for point in _sweep(cfg)]
     if cfg.format == "csv":
         out_stream.write(",".join(CURVE_COLUMNS) + "\n")
         for row in rows:
@@ -303,16 +284,10 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
         required, _ = APPROXIMATIONS[name]
         if required is not None and required != cfg.statistics:
             raise UsageError(f"approximation {name!r} requires --stat {required}")
-    ts = cfg.grid.temperatures()
-    policy = cfg.policy
     rows = []
     stats: dict = {}
-    for t in ts:
-        try:
-            exact = oracle.net_force(cfg.stat, cfg.particles_N, t, policy).delta_f
-        except Exception as exc:  # noqa: BLE001
-            print(f"numeric failure at t = {_fmt(t, 12)}: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+    for point in _sweep(cfg):
+        t, exact = point.t, point.delta_f
         for name in names:
             _, fn = APPROXIMATIONS[name]
             try:
@@ -509,8 +484,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (oracle.BracketFailure, oracle.StepNotFound, oracle.NotUnimodal,
-            oracle.SweepFailure) + SOLVER_FAILURES as exc:
+    except oracle.SweepFailure as exc:
+        for i, t, msg in exc.failures:
+            print(f"numeric failure at grid point {i} (t = {mp.nstr(t, 25)}): {msg}",
+                  file=sys.stderr)
+        return EXIT_NUMERIC
+    except (oracle.BracketFailure, oracle.StepNotFound,
+            oracle.NotUnimodal) + SOLVER_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

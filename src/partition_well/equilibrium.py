@@ -22,7 +22,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .model import Statistics, W_MINUS, W_PLUS
-from .numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy, find_root_bracketed
+from .numerics import DEFAULT_POLICY, PrecisionPolicy, find_root_bracketed
 from .lowtemp import zero_temperature_forces
 from . import oracle
 
@@ -33,8 +33,6 @@ __all__ = [
     "shift_finite_temperature",
     "transfer_zero_temperature",
 ]
-
-_WORK_DPS = 40
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ def shift_zero_temperature(stat: Statistics, N: int) -> ShiftResult:
     small shift xi -> 1/(4N).
     """
     zt = zero_temperature_forces(stat, N)
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         ratio = zt.f_minus / zt.f_plus
         r = (mpf(ratio.numerator) / ratio.denominator) ** (mpf(1) / 3)
         return ShiftResult((r - 1) / (r + 1), r, mpf(0), "zero_t_closed_form")
@@ -87,7 +85,7 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
     t = mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         def sides(xi):
             f_m, _ = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2, policy)
             f_p, _ = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2, policy)
@@ -137,7 +135,7 @@ def transfer_zero_temperature(stat: Statistics, N: int) -> TransferSplit:
     """
     if not (isinstance(N, int) and N >= 1):
         raise ValueError("N must be a positive integer")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         if stat.is_boson:
             return TransferSplit(mpf(8 * N) / 5, mpf(2 * N) / 5)
 

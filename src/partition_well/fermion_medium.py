@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy, \
-    find_root_bracketed, quad_semi_infinite
+from .numerics import DEFAULT_POLICY, PrecisionPolicy, find_root_bracketed, \
+    golden_section_minimum, quad_semi_infinite
 
 __all__ = [
     "FermiIntegralValue",
@@ -127,7 +127,7 @@ def fermi_integral(alpha, variant: str = "quadrature",
     * ``tanh_surrogate`` - closed forms from a shifted-tanh model of the
       integrand, exact at y = 0 and matching its half-height point.
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         alpha = mpf(alpha)
         _check_variant(alpha, variant, pure_series_derivative)
         if variant == "quadrature":
@@ -153,7 +153,7 @@ def force_kernel(alpha, variant: str = "quadrature",
 
     Positive for alpha < 0; equals -2/((e^alpha + 1) d(I^2)/dalpha).
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         alpha = mpf(alpha)
         if variant == "tanh_surrogate":
             _check_variant(alpha, variant, pure_series_derivative)
@@ -167,26 +167,13 @@ def force_kernel_minimum(variant: str = "quadrature",
                          policy: PrecisionPolicy = DEFAULT_POLICY,
                          bracket=(-5, -1)):
     """Golden-section minimum (alpha_min, J_min) of the force kernel."""
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         lo, hi = mpf(bracket[0]), mpf(bracket[1])
         if variant == "stoner":
             lo = max(lo, STONER_INTERVAL[0])
             hi = min(hi, STONER_INTERVAL[1])
-        inv_phi = (mp.sqrt(5) - 1) / 2
         J = lambda a: force_kernel(a, variant, policy=policy)
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1, f2 = J(x1), J(x2)
-        while hi - lo > mpf("1e-6"):
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv_phi * (hi - lo)
-                f1 = J(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv_phi * (hi - lo)
-                f2 = J(x2)
-        a = (lo + hi) / 2
+        a = golden_section_minimum(J, lo, hi, mpf("1e-6"))
         return a, J(a)
 
 
@@ -238,7 +225,7 @@ def alpha_from_temperature(N: int, t, variant: str = "quadrature",
     and raise :class:`VariantDomainError` when the target is not reachable
     there.
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         t = mpf(t)
         if not (t > 0 and N >= 1):
             raise ValueError("need t > 0 and N >= 1")
@@ -281,7 +268,7 @@ def fermion_medium_net_force(N: int, t, variant: str = "quadrature",
     N/sqrt(t).
     """
     alpha = alpha_from_temperature(N, t, variant, policy)
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         return mpf(N) ** 2 / 4 * force_kernel(alpha, variant, policy=policy)
 
 
@@ -291,7 +278,7 @@ def alpha_split_subleading(N: int, alpha, variant: str = "quadrature",
 
     Negative for alpha < 0 since I > 0 and I' < 0; scales as 1/N.
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         v = fermi_integral(alpha, variant, policy=policy)
         return v.I / ((mp.exp(v.alpha) + 1) * v.I_prime) / (2 * N)
 
@@ -304,7 +291,7 @@ def tanh_surrogate_quadratic(policy: PrecisionPolicy = DEFAULT_POLICY,
     completes the square; the coefficients are recomputed rather than
     frozen.  Returns (a, center, minimum).
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         a_star = mpf(alpha_star)
 
         def J(a):

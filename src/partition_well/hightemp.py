@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .model import Statistics, WellSide
+from .numerics import DEFAULT_POLICY
 
 __all__ = [
     "FugacityExpansion",
@@ -26,8 +27,6 @@ __all__ = [
     "net_force_asymptote",
     "force_expansion_term",
 ]
-
-_WORK_DPS = 40
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ def theta_level_sum(m_cutoff: int, k: int, b, sigma: int) -> mpf:
         raise ValueError("k must be a positive integer")
     if m_cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         b = mpf(b)
         if not b > 0:
             raise ValueError("b must be positive")
@@ -77,7 +76,7 @@ def fugacity_expansion(stat: Statistics, side: WellSide, N: int, b,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         b = mpf(b)
         q1 = 2 * N * mp.sqrt(b / mp.pi)
         q = q1
@@ -95,7 +94,7 @@ def net_force_asymptote(N: int, t, order: str = "leading",
     statistics; ``order="next"`` adds the constant term, which depends on
     the statistics through eta, so ``stat`` is required there.
     """
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         t = mpf(t)
         lead = N / mpf(2) * mp.sqrt(t / mp.pi)
         if order == "leading":
@@ -117,7 +116,7 @@ def force_expansion_term(stat: Statistics, q, k: int, b, sigma: int,
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         q = mpf(q)
         b = mpf(b)
         g = mp.e ** (-mp.pi ** 2 / (k * b))

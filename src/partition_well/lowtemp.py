@@ -16,6 +16,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .model import Statistics, WellSide, as_mpf, energy_level
+from .numerics import DEFAULT_POLICY, find_root_bracketed
 
 __all__ = [
     "ZeroTemperatureForces",
@@ -27,8 +28,6 @@ __all__ = [
     "step_inflection_points",
     "STEP_MODELS",
 ]
-
-_WORK_DPS = 40
 
 STEP_MODELS = ("two_level", "semi_four_level")
 
@@ -68,7 +67,7 @@ def boson_two_level_net_force(N: int, t) -> mpf:
     bite at t of order 1 regardless of N.  Low-t model, advisory validity
     t <~ 3.
     """
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         t = mpf(t)
         if not t > 0:
             raise ValueError("t must be positive")
@@ -80,7 +79,7 @@ def boson_alpha_low_temperature(side: WellSide, N: int, b) -> mpf:
 
     Follows from nearly all particles occupying the ground level.
     """
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         return -mpf(b) * as_mpf(side.e1) + mp.log(1 + mpf(1) / N)
 
 
@@ -90,7 +89,7 @@ def fermion_two_level_alpha(side: WellSide, N: int, b) -> mpf:
     Places the Fermi edge symmetrically between the last filled and first
     empty level, making their occupancies sum to one exactly.
     """
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         eN = as_mpf(energy_level(side, N))
         eN1 = as_mpf(energy_level(side, N + 1))
         return -mpf(b) / 2 * (eN + eN1)
@@ -122,7 +121,7 @@ def fermion_step_net_force(N: int, t, model: str = "semi_four_level") -> mpf:
     """
     if model not in STEP_MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {STEP_MODELS}")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         t = mpf(t)
         if not t > 0:
             raise ValueError("t must be positive")
@@ -140,7 +139,7 @@ def step_inflection_points(model: str = "semi_four_level", window=(mpf("0.1"), m
     """
     if model not in STEP_MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {STEP_MODELS}")
-    with mp.workdps(_WORK_DPS):
+    with mp.workdps(DEFAULT_POLICY.dps):
         corr = lambda v: _step_correction(1 / mpf(v), model)
         second = lambda v: mp.diff(corr, mpf(v), 2)
         lo, hi = mpf(window[0]), mpf(window[1])
@@ -152,17 +151,5 @@ def step_inflection_points(model: str = "semi_four_level", window=(mpf("0.1"), m
         if len(crossings) < 2:
             raise RuntimeError(
                 f"expected two curvature sign changes in the window, found {len(crossings)}")
-
-        def bisect(a, b):
-            fa = second(a)
-            while b - a > mpf("1e-9"):
-                mid = (a + b) / 2
-                if mp.sign(second(mid)) == mp.sign(fa):
-                    a = mid
-                else:
-                    b = mid
-            return (a + b) / 2
-
-        first = bisect(grid[crossings[0] - 1], grid[crossings[0]])
-        second_pt = bisect(grid[crossings[1] - 1], grid[crossings[1]])
-        return first, second_pt
+        return tuple(find_root_bracketed(second, grid[i - 1], grid[i]).root
+                     for i in crossings[:2])

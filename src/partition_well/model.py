@@ -25,7 +25,6 @@ __all__ = [
     "Statistics",
     "WellSide",
     "PhysicalConfig",
-    "ThermoPoint",
     "BOSON",
     "FERMION",
     "W_PLUS",
@@ -147,27 +146,3 @@ def reduced_temperature(cfg: PhysicalConfig, kelvin_T) -> mpf:
     if not kelvin_T > 0:
         raise ValueError("temperature must be positive")
     return mpf(cfg.boltzmann_kB) * kelvin_T / cfg.unit_energy
-
-
-@dataclass(frozen=True)
-class ThermoPoint:
-    """A (particle number, reduced temperature) evaluation point.
-
-    ``b = 1/t`` is stored once at construction so that both are available at
-    a single rounding of the working precision.
-    """
-
-    particles_N: int
-    reduced_t: mpf
-    b: mpf
-
-    def __post_init__(self):
-        if not (isinstance(self.particles_N, int) and self.particles_N >= 1):
-            raise ValueError("particle number must be a positive integer")
-        if not self.reduced_t > 0:
-            raise ValueError("reduced temperature must be positive")
-
-    @classmethod
-    def at(cls, particles_N: int, reduced_t) -> "ThermoPoint":
-        t = mpf(reduced_t)
-        return cls(particles_N, t, 1 / t)

@@ -11,11 +11,12 @@ The tools here supply those bounds:
   certifies the dropped tail with a geometric or Gaussian-integral envelope.
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used whenever a dropped sum is replaced by an integral.
-* :func:`trapezoid_sum_approx` - midpoint-grid sum-to-integral formula.
 * :func:`quad_semi_infinite` - adaptive quadrature on [0, inf).
+* :func:`golden_section_minimum` - golden-section search for the minimum of
+  a unimodal function, at the caller's precision.
 
-All routines are pure and run at the precision requested by the supplied
-:class:`PrecisionPolicy`.
+The other routines are pure and run at the precision requested by the
+supplied :class:`PrecisionPolicy`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ __all__ = [
     "find_root_bracketed",
     "sum_with_tail_bound",
     "gaussian_tail_upper_bound",
-    "trapezoid_sum_approx",
     "quad_semi_infinite",
+    "golden_section_minimum",
+    "SOLVER_FAILURES",
 ]
 
 # extra decimal digits carried internally beyond the policy's working digits
@@ -67,6 +69,11 @@ class PrecisionExhausted(RuntimeError):
     """The precision ceiling was reached without meeting the target."""
 
 
+# failures of a numerical solve, as opposed to a domain error; NoSignChange
+# is also a ValueError, so handlers catch these first
+SOLVER_FAILURES = (MaxIterations, PrecisionExhausted, NoSignChange, NonConvergent)
+
+
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Working precision and error targets for the numerical kernels."""
@@ -87,6 +94,11 @@ class PrecisionPolicy:
             raise ValueError("escalation_factor must exceed 1")
         if not (self.target_abs_error > 0 and self.target_rel_error > 0):
             raise ValueError("error targets must be positive")
+
+    @property
+    def dps(self) -> int:
+        """Decimal digits of the working precision, guard digits included."""
+        return self.working_digits + GUARD_DIGITS
 
     def escalate(self) -> "PrecisionPolicy":
         """Return a policy with strictly more digits, capped at ``max_digits``."""
@@ -150,7 +162,7 @@ def find_root_bracketed(func: Callable, lo, hi,
 
     Deterministic: identical inputs and policy produce identical output.
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         a, b = mpf(lo), mpf(hi)
         if not a < b:
             raise ValueError("bracket must satisfy lo < hi")
@@ -280,7 +292,7 @@ def sum_with_tail_bound(summand: Callable[[int], object],
     """
     if regime_hint not in ("low_t", "high_t"):
         raise ValueError(f"unknown regime hint {regime_hint!r}")
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         target = mpf(policy.target_abs_error)
         cache: dict[int, mpf] = {}
 
@@ -403,7 +415,7 @@ def quad_semi_infinite(integrand: Callable,
     on the shifted integrand f(y0 + u), so the cut lies the same distance
     past the edge as it would past 0.
     """
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         target = mpf(policy.target_abs_error)
         f = lambda y: mp.mpmathify(integrand(y))
 
@@ -461,20 +473,25 @@ def _gaussian_cutoff(f, target):
     return None
 
 
-def trapezoid_sum_approx(g: Callable, delta_y, tau,
-                         policy: PrecisionPolicy = DEFAULT_POLICY) -> mpf:
-    """Integral approximation of sum_{n>=1} g(y_n) on the grid y_n = (n - tau)*delta_y.
 
-    For a smooth integrable g on [0, inf) the trapezoid rule gives
+def golden_section_minimum(func: Callable, lo, hi, width):
+    """Midpoint of the final bracket of a golden-section search on [lo, hi].
 
-        sum_n g(y_n)  ~=  (tau - 1/2) g(0) + (1/delta_y) * integral_0^inf g
-
-    which is one order better in ``delta_y`` than the rectangle rule.  A
-    divergent integral surfaces as :class:`NonConvergent`.
+    ``func`` must be unimodal on the bracket; the search stops once the
+    bracket is at most ``width`` wide.  Runs at the caller's precision.
     """
-    delta_y = mpf(delta_y)
-    if not delta_y > 0:
-        raise ValueError("delta_y must be positive")
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
-        boundary = (mpf(tau) - mpf(1) / 2) * mpf(g(mpf(0)))
-        return boundary + quad_semi_infinite(g, policy) / delta_y
+    lo, hi, width = mpf(lo), mpf(hi), mpf(width)
+    inv_phi = (mp.sqrt(5) - 1) / 2
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = func(x1), func(x2)
+    while hi - lo > width:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = func(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = func(x2)
+    return (lo + hi) / 2

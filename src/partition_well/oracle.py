@@ -45,6 +45,7 @@ Two evaluation routes are used, both exact up to the certified bounds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
@@ -52,12 +53,13 @@ from mpmath import mp, mpf
 from .model import Statistics, W_MINUS, W_PLUS, WellSide, as_mpf
 from .numerics import (
     DEFAULT_POLICY,
-    GUARD_DIGITS,
+    SOLVER_FAILURES,
     MaxIterations,
     PrecisionExhausted,
     PrecisionPolicy,
     find_root_bracketed,
     gaussian_tail_upper_bound,
+    golden_section_minimum,
 )
 
 __all__ = [
@@ -509,7 +511,7 @@ def _sum_target(policy: PrecisionPolicy, b: mpf) -> mpf:
 
 def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
                    policy: PrecisionPolicy):
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         b = 1 / mpf(t)
         eps_sum = _sum_target(policy, b)
         memo: dict = {}
@@ -569,7 +571,7 @@ def net_force(stat: Statistics, N: int, t,
     t = mpf(t)
     sol_m, (f_m, err_m) = _solve_side(stat, W_MINUS, N, t, policy)
     sol_p, (f_p, err_p) = _solve_side(stat, W_PLUS, N, t, policy)
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         return CurvePoint(
             t=t,
             alpha_plus=sol_p.alpha,
@@ -581,29 +583,38 @@ def net_force(stat: Statistics, N: int, t,
         )
 
 
+def _sweep_point(stat: Statistics, N: int, policy: PrecisionPolicy, t):
+    # module level so that a process pool can pickle it; positional
+    # arguments, so that wrappers of net_force see (stat, N, t) as args[0..2]
+    try:
+        return net_force(stat, N, t, policy)
+    except SOLVER_FAILURES + (BracketFailure,) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def sweep_curve(stat: Statistics, N: int, grid: Sequence,
-                policy: PrecisionPolicy = DEFAULT_POLICY) -> list:
+                policy: PrecisionPolicy = DEFAULT_POLICY, map=map) -> list:
     """Evaluate the curve on a strictly increasing temperature grid.
 
-    Points are independent; a failing point is recorded with its index and
-    the remaining points are still computed, after which a
-    :class:`SweepFailure` carrying the partial results is raised.
+    Points are independent and are handed to ``map`` (the builtin by
+    default; ``Executor.map`` of a process pool runs them in parallel) and
+    come back in grid order.  A point whose solve fails numerically
+    (:data:`~partition_well.numerics.SOLVER_FAILURES` or
+    :class:`BracketFailure`) is recorded with its index while the remaining
+    points are still computed, after which a :class:`SweepFailure` carrying
+    the completed points is raised.  Any other exception propagates.
     """
     ts = [mpf(t) for t in grid]
     if any(not t > 0 for t in ts):
         raise ValueError("grid temperatures must be positive")
     if any(b >= a for a, b in zip(ts[1:], ts)):
         raise ValueError("grid must be strictly increasing")
-    points = []
-    failures = []
-    for i, t in enumerate(ts):
-        try:
-            points.append(net_force(stat, N, t, policy))
-        except Exception as exc:  # noqa: BLE001 - reported per point
-            failures.append((i, t, f"{type(exc).__name__}: {exc}"))
+    results = list(map(partial(_sweep_point, stat, N, policy), ts))
+    failures = [(i, t, r) for i, (t, r) in enumerate(zip(ts, results))
+                if isinstance(r, str)]
     if failures:
-        raise SweepFailure(failures, points)
-    return points
+        raise SweepFailure(failures, [r for r in results if not isinstance(r, str)])
+    return results
 
 
 def locate_minimum(stat: Statistics, N: int,
@@ -621,7 +632,7 @@ def locate_minimum(stat: Statistics, N: int,
         search_window = (mpf("0.1") * scale, 2 * scale) if stat.is_boson \
             else (mpf("0.05") * scale, 2 * scale)
     t_lo, t_hi = mpf(search_window[0]), mpf(search_window[1])
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         cache: dict = {}
 
         def df(logt):
@@ -640,21 +651,7 @@ def locate_minimum(stat: Statistics, N: int,
             raise NotUnimodal(
                 "probe points do not bracket a single interior minimum",
                 [(mp.e ** x, v) for x, v in zip(xs, vals)])
-        lo, hi = xs[i_min - 1], xs[i_min + 1]
-        inv_phi = (mp.sqrt(5) - 1) / 2
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1, f2 = df(x1), df(x2)
-        while hi - lo > mpf("1e-3"):
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv_phi * (hi - lo)
-                f1 = df(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv_phi * (hi - lo)
-                f2 = df(x2)
-        x_best = (lo + hi) / 2
+        x_best = golden_section_minimum(df, xs[i_min - 1], xs[i_min + 1], mpf("1e-3"))
         return mp.e ** x_best, df(x_best)
 
 
@@ -673,7 +670,7 @@ def locate_inflections(stat: Statistics, N: int,
     if window is None:
         window = (mpf("0.05") * N, mpf(N))
     t_lo, t_hi = mpf(window[0]), mpf(window[1])
-    with mp.workdps(policy.working_digits + GUARD_DIGITS):
+    with mp.workdps(policy.dps):
         cache: dict = {}
 
         def df(t):

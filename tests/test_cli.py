@@ -77,18 +77,41 @@ class TestCurve:
         assert float(row["f_minus"]) - float(row["f_plus"]) == pytest.approx(
             float(row["delta_f"]), rel=1e-9)
 
-    def test_parallel_jobs_identical_output(self, tmp_path):
-        base = ["curve", "--stat", "boson", "--N", "5", "--t", "0.5:50:4:log"]
+    @pytest.mark.parametrize("base", [
+        ["curve", "--stat", "boson", "--N", "5", "--t", "0.5:50:4:log"],
+        ["compare", "--stat", "fermion", "--N", "3", "--t", "1:40:3:log",
+         "--approx", "fermion_two_level,high_next"],
+    ], ids=["curve", "compare"])
+    def test_parallel_jobs_identical_output(self, base, tmp_path):
         out1 = tmp_path / "serial.csv"
         out2 = tmp_path / "parallel.csv"
-        assert run_cli(base + ["--out", str(out1)]) == 0
+        assert run_cli(base + ["--jobs", "1", "--out", str(out1)]) == 0
         assert run_cli(base + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command", [["curve"], ["compare", "--approx", "high_next"]])
+    def test_numeric_failure_names_grid_point(self, command, monkeypatch, capsys):
+        original = oracle.net_force
+
+        def fail_at_two(stat, N, t, policy):
+            if t == 2:
+                raise MaxIterations("injected")
+            return original(stat, N, t, policy)
+
+        monkeypatch.setattr(oracle, "net_force", fail_at_two)
+        assert run_cli(command + ["--stat", "boson", "--N", "3",
+                                  "--t", "1:3:3:linear"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("numeric failure at grid point 1 (t = 2.0): MaxIterations: injected"
+                in captured.err)
 
     def test_invalid_grid_exit_2(self):
         assert run_cli(["curve", "--t", "5:1:10:log"]) == 2
         assert run_cli(["curve", "--t", "1:5:10:cubic"]) == 2
         assert run_cli(["curve", "--t", "1:5"]) == 2
+        for grid in ("0:50:4:linear", "-1:1:3:linear", "1:inf:3:log", "nan:nan:1:log"):
+            assert run_cli(["curve", "--t=" + grid]) == 2
 
     def test_boson_zero_t_anchor_in_output(self, tmp_path):
         out = tmp_path / "z.csv"
@@ -112,6 +135,10 @@ class TestGridSpec:
             grid = GridSpec(0.1, 0.7, 7, "linear").temperatures()
         assert grid[0] == mpf(0.1) and grid[-1] == mpf(0.7)
         assert grid == sorted(grid)
+
+    def test_coinciding_points_usage_error(self):
+        with mp.workdps(15), pytest.raises(cli.UsageError):
+            GridSpec(1, 1.0000000000000002, 5, "linear").temperatures()
 
 
 class TestCompare:

@@ -1,14 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from partition_well.model import (
     BOSON,
     FERMION,
     PhysicalConfig,
     Statistics,
-    ThermoPoint,
     W_MINUS,
     W_PLUS,
     WellSide,
@@ -101,12 +100,3 @@ def test_physical_config_validation():
     with pytest.raises(ValueError):
         PhysicalConfig(spin_s=Fraction(1, 3))
     assert PhysicalConfig(spin_s=Fraction(1, 2)).degeneracy == 2
-
-
-def test_thermo_point_b_consistency():
-    pt = ThermoPoint.at(100, mpf("3.7"))
-    assert abs(pt.b * pt.reduced_t - 1) < mpf(10) ** (-(mp.dps - 2))
-    with pytest.raises(ValueError):
-        ThermoPoint.at(0, 1.0)
-    with pytest.raises(ValueError):
-        ThermoPoint.at(10, -1.0)

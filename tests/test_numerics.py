@@ -8,15 +8,16 @@ from partition_well.model import W_MINUS
 from partition_well.numerics import (
     BoundUnavailable,
     DEFAULT_POLICY,
+    GUARD_DIGITS,
     MaxIterations,
     NoSignChange,
     PrecisionExhausted,
     PrecisionPolicy,
     find_root_bracketed,
     gaussian_tail_upper_bound,
+    golden_section_minimum,
     quad_semi_infinite,
     sum_with_tail_bound,
-    trapezoid_sum_approx,
 )
 
 
@@ -37,6 +38,22 @@ class TestPolicy:
         assert r.working_digits == 70
         with pytest.raises(PrecisionExhausted):
             r.escalate()
+        assert r.dps == 70 + GUARD_DIGITS
+
+
+class TestGoldenSection:
+    def test_parabola_minimum_within_width(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - mpf("0.3")) ** 2
+
+        x = golden_section_minimum(f, -1, 2, mpf("1e-8"))
+        assert abs(x - mpf("0.3")) < mpf("1e-8")
+        # one new evaluation per step, each shrinking the bracket by 1/phi:
+        # 3 phi^-41 < 1e-8 < 3 phi^-40
+        assert len(calls) == 2 + 41
 
 
 class TestRootFinder:
@@ -193,20 +210,6 @@ class TestGaussianTail:
         y = mpf("0.3")
         true_tail = mp.sqrt(mp.pi) / 2 * mp.erfc(y)
         assert gaussian_tail_upper_bound(y) >= true_tail
-
-
-class TestTrapezoidSumApprox:
-    def test_gaussian_grid_vs_brute(self):
-        g = lambda y: mp.e ** (-y * y)
-        approx = trapezoid_sum_approx(g, mpf("0.1"), 0)
-        brute = mp.fsum(mp.e ** (-(mpf("0.1") * n) ** 2) for n in range(1, 400))
-        assert abs(approx - (-mpf(1) / 2 + 10 * mp.sqrt(mp.pi) / 2)) < 1e-12
-        assert abs(approx - brute) < mpf("0.01")  # o(delta_y) regime
-
-    def test_half_offset_drops_boundary_term(self):
-        g = lambda y: mp.e ** (-y * y)
-        approx = trapezoid_sum_approx(g, mpf("0.1"), mpf(1) / 2)
-        assert abs(approx - 10 * mp.sqrt(mp.pi) / 2) < 1e-12
 
 
 class TestQuadSemiInfinite:

@@ -9,11 +9,13 @@ from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
 from partition_well.numerics import (
     DEFAULT_POLICY,
     GUARD_DIGITS,
+    MaxIterations,
     PrecisionExhausted,
     PrecisionPolicy,
 )
 from partition_well.oracle import (
     OccupancySolution,
+    SweepFailure,
     locate_inflections,
     locate_minimum,
     net_force,
@@ -263,6 +265,28 @@ class TestSweep:
             sweep_curve(BOSON, 10, [1.0, 1.0])
         with pytest.raises(ValueError):
             sweep_curve(BOSON, 10, [-1.0, 2.0])
+
+    def test_numeric_failure_keeps_other_points(self, monkeypatch):
+        original = oracle.net_force
+
+        def fail_at_two(stat, N, t, policy):
+            if t == 2:
+                raise MaxIterations("injected")
+            return original(stat, N, t, policy)
+
+        monkeypatch.setattr(oracle, "net_force", fail_at_two)
+        with pytest.raises(SweepFailure) as info:
+            sweep_curve(BOSON, 3, [1, 2, 3])
+        assert info.value.failures == [(1, 2, "MaxIterations: injected")]
+        assert [p.t for p in info.value.points] == [1, 3]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(stat, N, t, policy):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(oracle, "net_force", broken)
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            sweep_curve(BOSON, 3, [1, 2])
 
     @pytest.mark.parametrize("stat", [BOSON, FERMION])
     def test_interior_minimum_on_log_grid(self, stat):
