@@ -270,7 +270,7 @@ def occupancy_defect_integrand(y) -> mpf:
             s += c * zp
             zp *= z * z
         return s
-    return 1 / (mp.e ** z - 1) - 1 / z
+    return 1 / (mp.exp(z) - 1) - 1 / z
 
 
 def occupancy_defect_slope_integrand(y) -> mpf:
@@ -286,7 +286,7 @@ def occupancy_defect_slope_integrand(y) -> mpf:
             s += (2 * k - 1) * c * zp
             zp *= z * z
         return s
-    ez = mp.e ** z
+    ez = mp.exp(z)
     return 1 / z ** 2 - ez / (ez - 1) ** 2
 
 

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from mpmath import mp, mpf
 
@@ -246,13 +247,36 @@ CURVE_COLUMNS = ("t", "alpha_plus", "alpha_minus", "f_plus", "f_minus",
                  "delta_f", "delta_f_error")
 
 
-def _sweep(cfg: RunConfig) -> list:
-    """The exact curve on the configured grid, over ``jobs`` processes."""
+def _approximate(names, N: int, stat: Statistics, point) -> list:
+    """The named approximations at ``point.t``, in order: each value, None
+    outside the variant's domain, or, ending the list, the message of a
+    numeric failure."""
+    values = []
+    for name in names:
+        _, fn = APPROXIMATIONS[name]
+        try:
+            values.append(fn(N, point.t, stat))
+        except SOLVER_FAILURES as exc:  # before ValueError: NoSignChange is one
+            values.append(f"numeric failure in {name} at t = {_fmt(point.t, 12)}: {exc}")
+            break
+        except (ValueError, ZeroDivisionError):
+            # outside the variant's domain: VariantDomainError, OutOfRange,
+            # a tanh-surrogate pole or an invalid argument
+            values.append(None)
+    return values
+
+
+def _sweep(cfg: RunConfig, names=None) -> list:
+    """The exact curve on the configured grid, over ``jobs`` processes; with
+    approximation ``names``, (point, :func:`_approximate` values) pairs
+    computed in the same per-point call."""
     args = (cfg.stat, cfg.particles_N, cfg.grid.temperatures(), cfg.policy)
+    each = None if names is None else \
+        partial(_approximate, tuple(names), cfg.particles_N, cfg.stat)
     if cfg.jobs == 1:
-        return oracle.sweep_curve(*args)
+        return oracle.sweep_curve(*args, each=each)
     with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        return oracle.sweep_curve(*args, map=pool.map)
+        return oracle.sweep_curve(*args, map=pool.map, each=each)
 
 
 def _run_curve(cfg: RunConfig, out_stream) -> int:
@@ -286,19 +310,13 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
             raise UsageError(f"approximation {name!r} requires --stat {required}")
     rows = []
     stats: dict = {}
-    for point in _sweep(cfg):
+    for point, values in _sweep(cfg, names):
         t, exact = point.t, point.delta_f
-        for name in names:
-            _, fn = APPROXIMATIONS[name]
-            try:
-                approx = fn(cfg.particles_N, t, cfg.stat)
-            except SOLVER_FAILURES as exc:  # before ValueError: NoSignChange is one
-                print(f"numeric failure in {name} at t = {_fmt(t, 12)}: {exc}",
-                      file=sys.stderr)
+        for name, approx in zip(names, values):
+            if isinstance(approx, str):
+                print(approx, file=sys.stderr)
                 return EXIT_NUMERIC
-            except (ValueError, ZeroDivisionError):
-                # outside the variant's domain: VariantDomainError, OutOfRange,
-                # a tanh-surrogate pole or an invalid argument
+            if approx is None:
                 rows.append((t, exact, name, None, None, None))
                 continue
             abs_err = abs(approx - exact)

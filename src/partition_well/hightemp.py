@@ -57,7 +57,7 @@ def theta_level_sum(m_cutoff: int, k: int, b, sigma: int) -> mpf:
         b = mpf(b)
         if not b > 0:
             raise ValueError("b must be positive")
-        g = mp.e ** (-mp.pi ** 2 / (k * b))
+        g = mp.exp(-mp.pi ** 2 / (k * b))
         sgn = 2 * sigma - 1
         s = mpf(1)
         for m in range(1, m_cutoff + 1):
@@ -119,7 +119,7 @@ def force_expansion_term(stat: Statistics, q, k: int, b, sigma: int,
     with mp.workdps(DEFAULT_POLICY.dps):
         q = mpf(q)
         b = mpf(b)
-        g = mp.e ** (-mp.pi ** 2 / (k * b))
+        g = mp.exp(-mp.pi ** 2 / (k * b))
         sgn = 2 * sigma - 1
         s = mpf(1)
         for m in range(1, m_cutoff + 1):

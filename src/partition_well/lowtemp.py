@@ -71,7 +71,7 @@ def boson_two_level_net_force(N: int, t) -> mpf:
         t = mpf(t)
         if not t > 0:
             raise ValueError("t must be positive")
-        return mpf(3 * N) / 4 + 3 * mp.e ** (-3 / t) - 2 * mp.e ** (-2 / t)
+        return mpf(3 * N) / 4 + 3 * mp.exp(-3 / t) - 2 * mp.exp(-2 / t)
 
 
 def boson_alpha_low_temperature(side: WellSide, N: int, b) -> mpf:
@@ -97,12 +97,12 @@ def fermion_two_level_alpha(side: WellSide, N: int, b) -> mpf:
 
 def _step_correction(x: mpf, model: str) -> mpf:
     # x = b N = N/t; stable via exp(-x) so that x -> inf degrades gracefully
-    e1 = mp.e ** (-x)
+    e1 = mp.exp(-x)
     s1 = e1 / (1 + e1)
     d1 = x * e1 / (1 + e1) ** 2
     if model == "two_level":
         return s1 - d1
-    e3 = mp.e ** (-3 * x)
+    e3 = mp.exp(-3 * x)
     s3 = 3 * e3 / (1 + e3)
     d3 = 13 * x * e3 / (1 + e3) ** 2
     return s1 + s3 - d1 - d3

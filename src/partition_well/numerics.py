@@ -148,12 +148,17 @@ def find_root_bracketed(func: Callable, lo, hi,
 
     With ``derivative``, ``func`` returns ``(g, g')`` and safeguarded Newton
     steps are taken inside the bracket (``rtsafe``, Numerical Recipes 9.4):
-    a step that leaves the bracket, or a step after one that failed to halve
-    |g|, is replaced by bisection.  Newton iterates usually approach the root
-    from one side, so once the Newton correction is below the tolerance one
-    straddle probe at ``x - 2 g/g'`` confirms the bracket [x, x - 2 g/g'];
-    the Newton point ``x - g/g'``, its midpoint, is returned with the larger
-    |g| at the two ends as residual (a bound for monotone g).
+    a step that leaves the bracket, a step after one that failed to halve
+    |g|, and, from the third step on, a step not smaller than half the step
+    before last are replaced by bisection.  The last test keeps Newton from
+    crawling along the flank of a sigmoid, where each step moves about as
+    far as the one before while |g| shrinks by a constant factor near e;
+    quadratic convergence never trips it.  Newton iterates usually approach
+    the root from one side, so once the Newton correction is below the
+    tolerance one straddle probe at ``x - 2 g/g'`` confirms the bracket
+    [x, x - 2 g/g']; the Newton point ``x - g/g'``, its midpoint, is
+    returned with the larger |g| at the two ends as residual (a bound for
+    monotone g).
 
     Both modes terminate once the residual is below ``target_abs_error`` and
     the bracket width is below ``max(target_abs_error, |root| *
@@ -190,6 +195,7 @@ def find_root_bracketed(func: Callable, lo, hi,
         if derivative:
             x, fx, dfx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
             bisect = False
+            dx = dx_old = mp.inf  # the last step and the one before
             while evals < policy.max_iterations:
                 if done(x, fx):
                     return RootResult(x, fx, b - a, evals)
@@ -198,12 +204,14 @@ def find_root_bracketed(func: Callable, lo, hi,
                 if (step is not None and abs(fx) <= ftol and 2 * abs(step) <= xtol(x)
                         and a < x - 2 * step < b):
                     nxt, probe = x - 2 * step, True
-                elif step is not None and not bisect and a < x - step < b:
+                elif (step is not None and not bisect and 2 * abs(step) < dx_old
+                        and a < x - step < b):
                     nxt, newton = x - step, True
                 else:
                     nxt = (a + b) / 2
                     if not a < nxt < b:  # bracket collapsed to adjacent floats
                         return RootResult(x, fx, b - a, evals)
+                dx, dx_old = abs(nxt - x), dx
                 fn, dfn = map(mpf, func(nxt))
                 evals += 1
                 if fn == 0:
@@ -266,7 +274,7 @@ def gaussian_tail_upper_bound(y_trunc) -> mpf:
     y = mpf(y_trunc)
     if not y > 0:
         raise ValueError("y_trunc must be positive")
-    return mp.e ** (-y * y) * min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
+    return mp.exp(-y * y) * min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
 
 
 def _gaussian_tail_integral_bound(lam, n) -> mpf:
@@ -387,10 +395,10 @@ def _gaussian_bound_factory(a):
         if not lam > 0:
             raise BoundUnavailable("probed envelope exponent is not positive")
         lam = lam / mpf("1.1")  # weaker decay is the safe direction
-        c = mpf("1.1") * a1 * mp.e ** (lam * (n + 1) ** 2)
-        if probe_far > c * mp.e ** (-lam * (n + 4) ** 2):
+        c = mpf("1.1") * a1 * mp.exp(lam * (n + 1) ** 2)
+        if probe_far > c * mp.exp(-lam * (n + 4) ** 2):
             raise BoundUnavailable(f"envelope violated by probe at index {n + 4}")
-        val = c * (mp.e ** (-lam * (n + 1) ** 2) + _gaussian_tail_integral_bound(lam, n + 1))
+        val = c * (mp.exp(-lam * (n + 1) ** 2) + _gaussian_tail_integral_bound(lam, n + 1))
         return (val, "gaussian_integral") if with_kind else val
 
     return bound_at
@@ -460,11 +468,11 @@ def _gaussian_cutoff(f, target):
     if lam < mpf("0.2"):
         return None  # decay too slow to certify a Gaussian envelope
     lam = lam / mpf("1.1")
-    c = mpf("1.1") * f1 * mp.e ** (lam * y1 ** 2)
+    c = mpf("1.1") * f1 * mp.exp(lam * y1 ** 2)
     y = y2
     for _ in range(40):
         # envelope must keep holding at the candidate cut
-        if abs(f(y)) > c * mp.e ** (-lam * y * y):
+        if abs(f(y)) > c * mp.exp(-lam * y * y):
             return None
         tail = c / mp.sqrt(lam) * gaussian_tail_upper_bound(mp.sqrt(lam) * y)
         if tail <= target / 4:

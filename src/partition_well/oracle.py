@@ -40,6 +40,17 @@ Two evaluation routes are used, both exact up to the certified bounds:
   fugacity series ``sum_k eta^(k-1) q^k Theta(k b)`` whose level sums
   ``Theta`` are evaluated through their Poisson-resummed (theta-function)
   form.
+
+Within one solve b is fixed and only alpha changes, so each solve builds a
+level table (:class:`_LevelTable`) that the bracket ends, every Newton step
+and the final evaluation read from.  It holds what does not depend on
+alpha, extended lazily as deeper truncations need it: Theta_0(k b) with its
+certified error per fugacity index k, the ratios e^(-b (e_(n+1) - e_n)) of
+successive level weights e^(-b e_n), and the Gaussian tail bound at each
+truncation index.  A number-only sum at a new alpha then
+costs two exponentials and multiplications, and the final series
+evaluation sums only Theta_1 afresh.  The table is dropped when the solve
+returns; nothing is cached across solves.
 """
 
 from __future__ import annotations
@@ -154,9 +165,9 @@ class _LevelSums(NamedTuple):
 def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
     """sum_{n>=1} exp(-beta e_n) with certified error below eps."""
     if beta >= _THETA_POISSON_MAX_BETA:
-        u = mp.e ** (-beta * (1 - tau) ** 2)
-        rho = mp.e ** (-beta * (2 * (1 - tau) + 1))
-        shrink = mp.e ** (-2 * beta)
+        u = mp.exp(-beta * (1 - tau) ** 2)
+        rho = mp.exp(-beta * (2 * (1 - tau) + 1))
+        shrink = mp.exp(-2 * beta)
         s = mpf(0)
         while True:
             s += u
@@ -166,7 +177,7 @@ def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
             u *= rho
             rho *= shrink
     pref = mp.sqrt(mp.pi / (4 * beta))
-    g = mp.e ** (-mp.pi ** 2 / beta)
+    g = mp.exp(-mp.pi ** 2 / beta)
     sgn = 2 * sigma - 1
     s = mpf(1)
     m = 1
@@ -181,9 +192,9 @@ def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
 def _theta1(beta: mpf, tau: mpf, sigma: int, eps: mpf):
     """sum_{n>=1} e_n exp(-beta e_n) with certified error below eps."""
     if beta >= _THETA_POISSON_MAX_BETA:
-        u = mp.e ** (-beta * (1 - tau) ** 2)
-        rho = mp.e ** (-beta * (2 * (1 - tau) + 1))
-        shrink = mp.e ** (-2 * beta)
+        u = mp.exp(-beta * (1 - tau) ** 2)
+        rho = mp.exp(-beta * (2 * (1 - tau) + 1))
+        shrink = mp.exp(-2 * beta)
         s = mpf(0)
         n = 1
         while True:
@@ -198,7 +209,7 @@ def _theta1(beta: mpf, tau: mpf, sigma: int, eps: mpf):
             rho *= shrink
             n += 1
     pref = mp.sqrt(mp.pi / (16 * beta ** 3))
-    g = mp.e ** (-mp.pi ** 2 / beta)
+    g = mp.exp(-mp.pi ** 2 / beta)
     sgn = 2 * sigma - 1
     s = mpf(1)
     m = 1
@@ -212,19 +223,73 @@ def _theta1(beta: mpf, tau: mpf, sigma: int, eps: mpf):
         m += 1
 
 
-def _level_sums_direct(eta: int, tau: mpf, alpha: mpf, b: mpf, eps: mpf) -> _LevelSums:
-    # terms via the recurrence u_{n+1} = u_n rho_n, rho_{n+1} = rho_n e^{-2b},
-    # which replaces one exp per level by two multiplications
-    u = mp.e ** (-(alpha + b * (1 - tau) ** 2))
-    rho = mp.e ** (-b * (2 * (1 - tau) + 1))
-    shrink = mp.e ** (-2 * b)
+class _LevelTable:
+    """The alpha-independent parts of the level sums of one constraint solve.
+
+    Built from (stat, side, b, eps) and extended lazily as the sums at
+    successive alphas reach deeper; it lives as long as the solve.  It holds
+
+    * for the fugacity series, Theta_0(k b) and its certified error per
+      index k (:meth:`theta0`);
+    * for direct summation, the ratios rho_n = e^(-b (e_(n+1) - e_n)) of
+      successive level weights, from rho_(n+1) = rho_n e^(-2b)
+      (:meth:`ratio`), and w_1 = e^(-b e_1), the weight of the first level;
+    * the Gaussian tail bound at each truncation index (:meth:`gauss`).
+
+    A level sum at alpha then costs the exponentials e^(-alpha) and
+    e^(-x_1) and multiplications: u_(n+1) = u_n rho_n gives every
+    u_n = e^(-x_n).  Theta_0(b), whose relative accuracy the closed-form
+    bracket ends need, is summed to 10^(-dps) e^(-b e_1) where that is below
+    the series target.
+    """
+
+    def __init__(self, stat: Statistics, side: WellSide, b: mpf, eps: mpf):
+        self.eta = stat.eta
+        self.tau = tau = as_mpf(side.tau)
+        self.sigma = side.sigma
+        self.b = b
+        self.eps = eps
+        self.sqrt_b = mp.sqrt(b)
+        self.b_e1 = b * (1 - tau) ** 2
+        self.w1 = mp.exp(-self.b_e1)
+        self._ratios = [mp.exp(-b * (2 * (1 - tau) + 1))]
+        self._shrink = mp.exp(-2 * b)
+        self._gauss = {}
+        self._theta0 = []
+
+    def ratio(self, n: int) -> mpf:
+        """rho_n = w_(n+1)/w_n of level n >= 1."""
+        ratios = self._ratios
+        while len(ratios) < n:
+            ratios.append(ratios[-1] * self._shrink)
+        return ratios[n - 1]
+
+    def gauss(self, n: int) -> mpf:
+        """Upper bound on the tail integral of e^(-y^2) from sqrt(b) (n + 1 - tau)."""
+        if n not in self._gauss:
+            self._gauss[n] = gaussian_tail_upper_bound(self.sqrt_b * (n + 1 - self.tau))
+        return self._gauss[n]
+
+    def theta0(self, k: int) -> tuple:
+        """(Theta_0(k b), its certified error) of fugacity index k >= 1."""
+        while len(self._theta0) < k:
+            j = len(self._theta0) + 1
+            eps = self.eps / 16
+            if j == 1:
+                eps = min(eps, self.w1 * mpf(10) ** (-mp.dps))
+            self._theta0.append(_theta0(j * self.b, self.tau, self.sigma, eps))
+        return self._theta0[k - 1]
+
+
+def _level_sums_direct(table: _LevelTable, alpha: mpf) -> _LevelSums:
+    eta, tau, b, eps, sqrt_b = table.eta, table.tau, table.b, table.eps, table.sqrt_b
+    u = mp.exp(-(alpha + table.b_e1))
     s_n = mpf(0)
     s_dn = mpf(0)
     s_f = mpf(0)
     s_df = mpf(0)
     n = 1
-    ealpha = mp.e ** (-alpha)
-    sqrt_b = mp.sqrt(b)
+    ealpha = mp.exp(-alpha)
     while True:
         en = (n - tau) ** 2
         occ = u / (1 - eta * u)
@@ -233,16 +298,15 @@ def _level_sums_direct(eta: int, tau: mpf, alpha: mpf, b: mpf, eps: mpf) -> _Lev
         s_dn += docc
         s_f += en * occ
         s_df += en * docc
-        x = alpha + b * en
-        u_next = u * rho
+        u_next = u * table.ratio(n)
         # tail bounds need N_m <= 2 e^{-x_m} (x >= ln 2) and a decreasing
         # force integrand (b e_m >= 2); the cheap precheck avoids computing
         # the closed-form bounds every iteration
-        if x >= 1 and b * en >= 2 and u * (en + 1) * 4 < eps:
+        if u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2:
             e_next = (n + 1 - tau) ** 2
             y1 = sqrt_b * (n + 1 - tau)
-            g0 = gaussian_tail_upper_bound(y1)
-            g2 = y1 / 2 * mp.e ** (-y1 * y1) + g0 / 2
+            g0 = table.gauss(n)
+            g2 = y1 / 2 * mp.exp(-y1 * y1) + g0 / 2
             tail_n = 2 * (u_next + ealpha / sqrt_b * g0)
             tail_f = 2 * (e_next * u_next + ealpha / (b * sqrt_b) * g2)
             if tail_n < eps and tail_f < eps:
@@ -252,14 +316,12 @@ def _level_sums_direct(eta: int, tau: mpf, alpha: mpf, b: mpf, eps: mpf) -> _Lev
         if n > 10 ** 7:
             raise PrecisionExhausted("level sum did not truncate below the target")
         u = u_next
-        rho *= shrink
         n += 1
 
 
-def _level_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
-                       eps: mpf) -> _LevelSums:
-    q = mp.e ** (-alpha)
-    eps_theta = eps / 16
+def _level_sums_series(table: _LevelTable, alpha: mpf) -> _LevelSums:
+    eta, tau, sigma, b, eps = table.eta, table.tau, table.sigma, table.b, table.eps
+    q = mp.exp(-alpha)
     s_n = mpf(0)
     s_dn = mpf(0)
     s_f = mpf(0)
@@ -271,8 +333,8 @@ def _level_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
     k = 1
     qk = q
     while True:
-        th0, e0 = _theta0(k * b, tau, sigma, eps_theta)
-        th1, e1 = _theta1(k * b, tau, sigma, eps_theta)
+        th0, e0 = table.theta0(k)
+        th1, e1 = _theta1(k * b, tau, sigma, eps / 16)
         sign = eta ** (k - 1)
         s_n += sign * qk * th0
         s_dn += sign * (-k) * qk * th0
@@ -300,48 +362,48 @@ def _level_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
             raise PrecisionExhausted("fugacity series did not truncate")
 
 
-def _number_sums_direct(eta: int, tau: mpf, alpha: mpf, b: mpf, eps: mpf):
-    # the recurrence of _level_sums_direct without the force accumulators;
-    # the number tail needs N_m <= 2 e^{-x_m} (x >= ln 2) only
-    u = mp.e ** (-(alpha + b * (1 - tau) ** 2))
-    rho = mp.e ** (-b * (2 * (1 - tau) + 1))
-    shrink = mp.e ** (-2 * b)
+def _number_sums_direct(table: _LevelTable, alpha: mpf):
+    # the loop of _level_sums_direct without the force accumulators; the
+    # number tail needs N_m <= 2 e^{-x_m} (x >= ln 2) only
+    eta, eps, sqrt_b = table.eta, table.eps, table.sqrt_b
+    quarter_eps = eps / 4
+    u = mp.exp(-(alpha + table.b_e1))
     s_n = mpf(0)
     s_dn = mpf(0)
     n = 1
-    ealpha = mp.e ** (-alpha)
-    sqrt_b = mp.sqrt(b)
+    ealpha = mp.exp(-alpha)
     while True:
         occ = u / (1 - eta * u)
         s_n += occ
         s_dn += occ * (1 + eta * occ)
-        u_next = u * rho
-        if u * 4 < eps and alpha + b * (n - tau) ** 2 >= 1:
-            g0 = gaussian_tail_upper_bound(sqrt_b * (n + 1 - tau))
-            if 2 * (u_next + ealpha / sqrt_b * g0) < eps:
+        u_next = u * table.ratio(n)
+        if u < quarter_eps and alpha + table.b * (n - table.tau) ** 2 >= 1:
+            if 2 * (u_next + ealpha / sqrt_b * table.gauss(n)) < eps:
                 return s_n, -s_dn
         if n > 10 ** 7:
             raise PrecisionExhausted("level sum did not truncate below the target")
         u = u_next
-        rho *= shrink
         n += 1
 
 
-def _number_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
-                        eps: mpf):
+def _number_sums_series(table: _LevelTable, alpha: mpf):
     # the fugacity series of _level_sums_series without the Theta_1 terms
-    q = mp.e ** (-alpha)
+    eta, half_eps = table.eta, table.eps / 2
+    q = mp.exp(-alpha)
+    r = 1 / (1 - q)
+    r2 = r * r
     s_n = mpf(0)
     s_dn = mpf(0)
     k = 1
     qk = q
     while True:
-        th0, _ = _theta0(k * b, tau, sigma, eps / 16)
+        th0, _ = table.theta0(k)
         term = eta ** (k - 1) * qk * th0
         s_n += term
         s_dn -= k * term
         nxt = qk * q
-        if nxt * th0 * (1 / (1 - q) + ((k + 1) - k * q) / (1 - q) ** 2) < eps / 2:
+        # the number and k-weighted tails, as in _level_sums_series
+        if nxt * th0 * (r + ((k + 1) - k * q) * r2) < half_eps:
             return s_n, s_dn
         qk = nxt
         k += 1
@@ -349,24 +411,34 @@ def _number_sums_series(eta: int, tau: mpf, sigma: int, alpha: mpf, b: mpf,
             raise PrecisionExhausted("fugacity series did not truncate")
 
 
-def _number_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf, eps: mpf):
+def _on_series_route(alpha: mpf, b: mpf) -> bool:
+    return b <= _SERIES_MAX_B and alpha >= _SERIES_MIN_ALPHA
+
+
+def _number_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf, eps: mpf,
+                 table: _LevelTable = None):
     """(sum_n N_n, its alpha-derivative), each within eps of the full sums.
 
     The constraint iteration needs only these; the route and the truncation
-    rules are those of :func:`_level_sums`.
+    rules are those of :func:`_level_sums`.  ``table``, built from the same
+    (stat, side, b, eps), carries the alpha-independent work from call to
+    call; without it a fresh one is built.
     """
-    tau = as_mpf(side.tau)
-    if b <= _SERIES_MAX_B and alpha >= _SERIES_MIN_ALPHA:
-        return _number_sums_series(stat.eta, tau, side.sigma, alpha, b, eps)
-    return _number_sums_direct(stat.eta, tau, alpha, b, eps)
+    if table is None:
+        table = _LevelTable(stat, side, b, eps)
+    if _on_series_route(alpha, b):
+        return _number_sums_series(table, alpha)
+    return _number_sums_direct(table, alpha)
 
 
 def _level_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf,
-                eps: mpf) -> _LevelSums:
-    tau = as_mpf(side.tau)
-    if b <= _SERIES_MAX_B and alpha >= _SERIES_MIN_ALPHA:
-        return _level_sums_series(stat.eta, tau, side.sigma, alpha, b, eps)
-    return _level_sums_direct(stat.eta, tau, alpha, b, eps)
+                eps: mpf, table: _LevelTable = None) -> _LevelSums:
+    """All level sums and their tail bounds; ``table`` as for :func:`_number_sums`."""
+    if table is None:
+        table = _LevelTable(stat, side, b, eps)
+    if _on_series_route(alpha, b):
+        return _level_sums_series(table, alpha)
+    return _level_sums_direct(table, alpha)
 
 
 def _filled_levels_window(side: WellSide, N: int, b: mpf) -> tuple:
@@ -377,7 +449,8 @@ def _filled_levels_window(side: WellSide, N: int, b: mpf) -> tuple:
     return centre, max(mpf(1), 4 * b * (N + 1))
 
 
-def _closed_form_ends(stat: Statistics, side: WellSide, N: int, b: mpf) -> tuple:
+def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
+                      table: _LevelTable) -> tuple:
     """Closed-form bracket ends ``(lo or None, hi)`` for the constraint.
 
     With Theta_0 = sum_n e^(-b e_n), w = e^(-b e_1) and x_n = alpha + b e_n,
@@ -403,18 +476,17 @@ def _closed_form_ends(stat: Statistics, side: WellSide, N: int, b: mpf) -> tuple
     unit of x per step; from the window's ends the root finder bisects
     straight onto the plateau between the levels.
 
-    Theta_0 is summed to a relative error of 10^(-dps) and then widened by
-    10^(4 - dps) in the direction that keeps each bound valid.  Each end is
-    padded outward by 10^(4 - dps) max(1, |alpha|): with a single occupied
-    level a bound is tight, and rounding alone could put the end on the
-    wrong side of the root.  ``lo`` is None where no closed-form lower end
+    Theta_0 and w come from the solve's level table, Theta_0 summed to a
+    relative error of 10^(-dps); it is widened by 10^(4 - dps) in the
+    direction that keeps each bound valid.  Each end is padded outward by
+    10^(4 - dps) max(1, |alpha|): with a single occupied level a bound is
+    tight, and rounding alone could put the end on the wrong side of the
+    root.  ``lo`` is None where no closed-form lower end
     applies.
     """
-    tau = as_mpf(side.tau)
-    e1 = as_mpf(side.e1)
-    w = mp.e ** (-b * e1)
-    # Theta_0 >= w, so the truncation error is a relative one
-    theta, _ = _theta0(b, tau, side.sigma, w * mpf(10) ** (-mp.dps))
+    b, tau, e1, w = table.b, table.tau, as_mpf(side.e1), table.w1
+    # Theta_0 >= w, so its truncation error is a relative one
+    theta, _ = table.theta0(1)
     rel = mpf(10) ** (4 - mp.dps)
     theta_lo, theta_hi = theta * (1 - rel), theta * (1 + rel)
     classical = theta_lo > N * w
@@ -440,7 +512,7 @@ def _closed_form_ends(stat: Statistics, side: WellSide, N: int, b: mpf) -> tuple
     return lo, hi
 
 
-def _bracket_alpha(stat: Statistics, side: WellSide, N: int, b: mpf,
+def _bracket_alpha(stat: Statistics, side: WellSide, N: int, table: _LevelTable,
                    g: Callable) -> tuple:
     """Sign-changing bracket for the constraint g(alpha) = sum - N (decreasing).
 
@@ -454,10 +526,10 @@ def _bracket_alpha(stat: Statistics, side: WellSide, N: int, b: mpf,
     filled-levels window, else by a descent from the upper end.  The
     constraint sum is never probed at a fixed alpha.
     """
-    lo, hi = _closed_form_ends(stat, side, N, b)
+    lo, hi = _closed_form_ends(stat, side, N, table)
     if lo is not None:
         return lo, hi
-    centre, width = _filled_levels_window(side, N, b)
+    centre, width = _filled_levels_window(side, N, table.b)
     for _ in range(12):
         lo = centre - width
         if g(lo) > 0:
@@ -514,18 +586,19 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
     with mp.workdps(policy.dps):
         b = 1 / mpf(t)
         eps_sum = _sum_target(policy, b)
+        table = _LevelTable(stat, side, b, eps_sum)
         memo: dict = {}
 
         def g(alpha):
             # a probed bracket end is also the root finder's end point
             if alpha not in memo:
-                number, dnumber = _number_sums(stat, side, alpha, b, eps_sum)
+                number, dnumber = _number_sums(stat, side, alpha, b, eps_sum, table)
                 memo[alpha] = (number - N, dnumber)
             return memo[alpha]
 
-        lo, hi = _bracket_alpha(stat, side, N, b, lambda alpha: g(alpha)[0])
+        lo, hi = _bracket_alpha(stat, side, N, table, lambda alpha: g(alpha)[0])
         root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
-        sums = _level_sums(stat, side, root, b, eps_sum)
+        sums = _level_sums(stat, side, root, b, eps_sum, table)
         residual = abs(sums.number - N) + sums.tail_number
         slope = abs(sums.dnumber) - sums.tail_dnumber
         if not slope > 0:
@@ -533,7 +606,7 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
         alpha_error = residual / slope
         sol = OccupancySolution(
             alpha=root,
-            q_fugacity=mp.e ** (-root),
+            q_fugacity=mp.exp(-root),
             alpha_error=alpha_error,
             n_trunc=sums.terms,
             digits_used=policy.working_digits,
@@ -554,7 +627,7 @@ def occupancy(stat: Statistics, side: WellSide, sol: OccupancySolution,
     if stat.is_boson and not x1 > 0:
         raise ValueError("bosonic occupancy pole: alpha + b e_1 must be positive")
     x = sol.alpha + b * (n - as_mpf(side.tau)) ** 2
-    u = mp.e ** (-x)
+    u = mp.exp(-x)
     return u / (1 - stat.eta * u)
 
 
@@ -583,17 +656,19 @@ def net_force(stat: Statistics, N: int, t,
         )
 
 
-def _sweep_point(stat: Statistics, N: int, policy: PrecisionPolicy, t):
+def _sweep_point(stat: Statistics, N: int, policy: PrecisionPolicy, each, t):
     # module level so that a process pool can pickle it; positional
     # arguments, so that wrappers of net_force see (stat, N, t) as args[0..2]
     try:
-        return net_force(stat, N, t, policy)
+        point = net_force(stat, N, t, policy)
     except SOLVER_FAILURES + (BracketFailure,) as exc:
         return f"{type(exc).__name__}: {exc}"
+    return point if each is None else (point, each(point))
 
 
 def sweep_curve(stat: Statistics, N: int, grid: Sequence,
-                policy: PrecisionPolicy = DEFAULT_POLICY, map=map) -> list:
+                policy: PrecisionPolicy = DEFAULT_POLICY, map=map,
+                each: Callable = None) -> list:
     """Evaluate the curve on a strictly increasing temperature grid.
 
     Points are independent and are handed to ``map`` (the builtin by
@@ -603,13 +678,18 @@ def sweep_curve(stat: Statistics, N: int, grid: Sequence,
     :class:`BracketFailure`) is recorded with its index while the remaining
     points are still computed, after which a :class:`SweepFailure` carrying
     the completed points is raised.  Any other exception propagates.
+
+    ``each``, if given, is applied to every computed point inside the same
+    mapped call, so that a process pool spreads its work too (it must then
+    be picklable); every entry, of the result and of
+    :attr:`SweepFailure.points`, is then the pair ``(point, each(point))``.
     """
     ts = [mpf(t) for t in grid]
     if any(not t > 0 for t in ts):
         raise ValueError("grid temperatures must be positive")
     if any(b >= a for a, b in zip(ts[1:], ts)):
         raise ValueError("grid must be strictly increasing")
-    results = list(map(partial(_sweep_point, stat, N, policy), ts))
+    results = list(map(partial(_sweep_point, stat, N, policy, each), ts))
     failures = [(i, t, r) for i, (t, r) in enumerate(zip(ts, results))
                 if isinstance(r, str)]
     if failures:
@@ -637,7 +717,7 @@ def locate_minimum(stat: Statistics, N: int,
 
         def df(logt):
             if logt not in cache:
-                cache[logt] = net_force(stat, N, mp.e ** logt, policy).delta_f
+                cache[logt] = net_force(stat, N, mp.exp(logt), policy).delta_f
             return cache[logt]
 
         a, c = mp.log(t_lo), mp.log(t_hi)
@@ -650,9 +730,9 @@ def locate_minimum(stat: Statistics, N: int,
         if flips > 1 or i_min in (0, n_probe - 1):
             raise NotUnimodal(
                 "probe points do not bracket a single interior minimum",
-                [(mp.e ** x, v) for x, v in zip(xs, vals)])
+                [(mp.exp(x), v) for x, v in zip(xs, vals)])
         x_best = golden_section_minimum(df, xs[i_min - 1], xs[i_min + 1], mpf("1e-3"))
-        return mp.e ** x_best, df(x_best)
+        return mp.exp(x_best), df(x_best)
 
 
 def locate_inflections(stat: Statistics, N: int,

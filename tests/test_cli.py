@@ -185,6 +185,21 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "fermion_stoner at t = 2.0: injected" in err
 
+    def test_solver_failure_in_worker_exits_3_naming_t(self, monkeypatch, capsys):
+        # with --jobs 2 the approximations run in the pool's workers, which
+        # inherit the patched registry
+        def fail_at_two(N, t, stat):
+            if t == 2:
+                raise MaxIterations("injected")
+            return mpf(1)
+
+        monkeypatch.setitem(cli.APPROXIMATIONS, "fermion_stoner", ("fermion", fail_at_two))
+        assert run_cli(["compare", "--stat", "fermion", "--N", "4", "--t", "1:3:3:linear",
+                        "--approx", "fermion_stoner", "--jobs", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric failure in fermion_stoner at t = 2.0: injected" in captured.err
+
     def test_domain_error_leaves_blank_cell(self, monkeypatch, capsys):
         def outside(N, t, stat):
             raise VariantDomainError("injected")

@@ -119,6 +119,23 @@ class TestRootFinderNewton:
         assert abs(res.root - root()) <= res.bracket_width / 2
         assert res.evaluations < 20
 
+    def test_sigmoid_flank_bisects(self):
+        # the root of (1 + tanh x)/2 - 1e-30 lies far out on the flank, where
+        # g ~ e^(2x): each Newton step there moves half a unit and shrinks |g|
+        # by e, never failing to halve it.  A step not smaller than half the
+        # step before last bisects instead; without that test this took 30
+        # evaluations
+        eps = mpf("1e-30")
+
+        def g(x):
+            return (1 + mp.tanh(x)) / 2 - eps, 1 / (2 * mp.cosh(x) ** 2)
+
+        res = find_root_bracketed(g, -100, 1, derivative=True)
+        with mp.workdps(40):
+            root = -mp.log(1 / eps - 1) / 2
+        assert abs(res.root - root) <= res.bracket_width
+        assert res.evaluations <= 20
+
     def test_zero_derivative_falls_back_to_bisection(self):
         res = find_root_bracketed(lambda x: (x - 2, 0), 0, 5, derivative=True)
         assert abs(res.root - 2) <= res.bracket_width <= mpf(1e-12) * 2

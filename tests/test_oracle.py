@@ -326,7 +326,9 @@ class TestMinimumAndInflections:
 class TestRootCounters:
     """Constraint solves pinned in work per side, minus side then plus side:
     root-finder evaluations (end points included) and ``_number_sums``
-    calls (bracket probes included).  With a series probe at alpha = 1/2
+    calls (bracket probes included).  Calls that read the solve's level
+    table count as ``_number_sums`` calls like any other: the table saves
+    work inside a call, not calls.  With a series probe at alpha = 1/2
     opening every bracket these were 13/13, 7/7, 7/7, 7/7 evaluations and
     13/13, 8/8, 8/8, 7/7 calls; the bisection/secant solve before that
     needed 20/20, 18/19, 16/18 and 22/19 evaluations."""
@@ -389,6 +391,54 @@ class TestRootCounters:
         assert len(calls) == 2 and all(calls)
         assert series == []
 
+    def test_theta0_once_per_fugacity_index(self, monkeypatch):
+        # the series cell boson N=100, t=1e7: the closed-form ends, every
+        # Newton step and the final level sums share one Theta_0(k b) per k
+        solves, calls = [], []
+        theta0, solve_at = oracle._theta0, oracle._solve_side_at
+
+        def counting_theta0(beta, *args):
+            calls.append(beta)
+            return theta0(beta, *args)
+
+        def counting_solve_at(stat, side, N, t, policy):
+            calls.clear()
+            result = solve_at(stat, side, N, t, policy)
+            with mp.workdps(policy.dps):
+                solves.append([int(mp.nint(beta * t)) for beta in calls])
+            return result
+
+        monkeypatch.setattr(oracle, "_theta0", counting_theta0)
+        monkeypatch.setattr(oracle, "_solve_side_at", counting_solve_at)
+        net_force(BOSON, 100, mpf("1e7"))
+        assert len(solves) == 2
+        for ks in solves:
+            assert ks == list(range(1, len(ks) + 1)) and len(ks) > 1
+
+    def test_boltzmann_upper_end_of_a_sharp_step(self):
+        # fermion N=1 at t=0.01: the Boltzmann upper end log(Theta_0/N) lies
+        # on the flank of the Fermi step, where Newton crawled by about one
+        # unit of alpha per step (96 evaluations per side); steps that stop
+        # shrinking now bisect
+        policy = DEFAULT_POLICY
+        with mp.workdps(policy.dps):
+            b = 1 / mpf("0.01")
+            eps = oracle._sum_target(policy, b)
+            for side in (W_MINUS, W_PLUS):
+                table = oracle._LevelTable(FERMION, side, b, eps)
+                centre, width = oracle._filled_levels_window(side, 1, b)
+
+                def g(alpha):
+                    number, dnumber = oracle._number_sums(FERMION, side, alpha, b, eps,
+                                                          table)
+                    return number - 1, dnumber
+
+                res = oracle.find_root_bracketed(
+                    g, centre - width, mp.log(table.theta0(1)[0]), policy,
+                    derivative=True)
+                assert abs(res.residual) <= policy.target_abs_error
+                assert res.evaluations <= 16
+
 
 class TestClosedFormEnds:
     """The closed-form bracket ends straddle the root as the solver sees the
@@ -410,7 +460,8 @@ class TestClosedFormEnds:
         with mp.workdps(policy.working_digits + GUARD_DIGITS):
             b = 1 / mpf(10) ** log10_t
             eps = oracle._sum_target(policy, b)
-            lo, hi = oracle._closed_form_ends(stat, side, N, b)
+            lo, hi = oracle._closed_form_ends(
+                stat, side, N, oracle._LevelTable(stat, side, b, eps))
 
             def g(alpha):
                 return oracle._number_sums(stat, side, alpha, b, eps)[0] - N
@@ -452,6 +503,33 @@ class TestNumberSums:
             # eps for the number, 2 eps for its derivative
             assert abs(number - full.number) <= 2 * self.EPS
             assert abs(dnumber - full.dnumber) <= 4 * self.EPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(stat=st.sampled_from([BOSON, FERMION]),
+           side=st.sampled_from([W_MINUS, W_PLUS]),
+           t=st.one_of(st.floats(0.01, 3), st.floats(3, 1e4)),
+           alpha=st.floats(-3, 6))
+    @example(stat=BOSON, side=W_MINUS, t=2.0, alpha=0.5)
+    @example(stat=FERMION, side=W_PLUS, t=2.0, alpha=0.4999)
+    @example(stat=BOSON, side=W_PLUS, t=1.999, alpha=0.5)
+    @example(stat=FERMION, side=W_MINUS, t=2.001, alpha=0.5001)
+    def test_level_table_changes_no_sum(self, stat, side, t, alpha):
+        # a table that earlier calls have extended, on both routes and to
+        # other depths, gives the sums of a fresh call
+        with mp.workdps(30 + GUARD_DIGITS):
+            b = 1 / mpf(t)
+            alpha = mpf(alpha)
+            if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
+                alpha = -b * as_mpf(side.e1) + mpf("0.01")
+            table = oracle._LevelTable(stat, side, b, self.EPS)
+            for other in (alpha + 1, alpha + 3, max(alpha - 1, alpha / 2)):
+                oracle._number_sums(stat, side, other, b, self.EPS, table)
+            for sums in (oracle._number_sums, oracle._level_sums):
+                plain = sums(stat, side, alpha, b, self.EPS)
+                tabled = sums(stat, side, alpha, b, self.EPS, table)
+                assert abs(tabled[0] - plain[0]) <= 2 * self.EPS
+                assert abs(tabled[1] - plain[1]) <= 4 * self.EPS
+            assert tabled.route == plain.route and tabled.terms == plain.terms
 
 
 def test_delta_f_within_bound_of_60_digit_sum():
