@@ -22,7 +22,7 @@ from .model import (
     physical_force,
     reduced_temperature,
 )
-from .numerics import DEFAULT_POLICY, PrecisionPolicy, TailBound, RootResult
+from .numerics import DEFAULT_POLICY, PrecisionPolicy, RootResult
 from .oracle import (
     CurvePoint,
     OccupancySolution,
@@ -49,7 +49,6 @@ __all__ = [
     "reduced_temperature",
     "DEFAULT_POLICY",
     "PrecisionPolicy",
-    "TailBound",
     "RootResult",
     "CurvePoint",
     "OccupancySolution",

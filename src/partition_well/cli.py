@@ -99,6 +99,8 @@ class RunConfig:
             raise UsageError("digits must lie in [1, 30]")
         if self.jobs < 1:
             raise UsageError("jobs must be a positive integer")
+        if not 0 < self.abs_tol < mp.inf:
+            raise UsageError("abs_tol must be positive and finite")
 
     @property
     def stat(self) -> Statistics:
@@ -151,16 +153,20 @@ def _parse_window(text: str):
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line without '=': {line!r}")
+        key, val = line.split("=", 1)
+        values[key.strip()] = val.strip()
     return values
 
 
@@ -183,7 +189,10 @@ def _merge_config(args) -> RunConfig:
         if flag_val is not None:
             return flag_val
         if key in file_values:
-            return conv(file_values[key])
+            try:
+                return conv(file_values[key])
+            except ValueError as exc:  # a UsageError too, from the grid parser
+                raise UsageError(f"config key {key}: {exc}") from None
         return default
 
     grid = pick("t", "t", _parse_grid, GridSpec(0.01, 1e6, 50, "log"))
@@ -464,9 +473,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_out(cfg: RunConfig):
-    if cfg.out:
+    if not cfg.out:
+        return None
+    try:
         return open(cfg.out, "w", encoding="utf-8", newline="\n")
-    return None
+    except OSError as exc:
+        raise UsageError(f"cannot open output file {cfg.out}: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -2,9 +2,10 @@
 
 For small ``b = 1/t`` the occupancies are expanded in powers of the
 fugacity ``q = exp(-alpha)`` and each level sum is Poisson-resummed into a
-rapidly converging theta series.  Matching the particle-number constraint
-order by order gives ``q`` to second order and, from it, the leading and
-next-to-leading behaviour of the net force,
+rapidly converging theta series (the oracle's fugacity-series route sums
+the same series with certified tails).  Matching the particle-number
+constraint order by order gives ``q`` to second order and, from it, the
+leading and next-to-leading behaviour of the net force,
 
     delta_f = (N/2) sqrt(t/pi) - (N/pi) [(sqrt(2)-1) eta N - 1/2] + O(t^-1/2),
 
@@ -22,10 +23,8 @@ from .numerics import DEFAULT_POLICY
 
 __all__ = [
     "FugacityExpansion",
-    "theta_level_sum",
     "fugacity_expansion",
     "net_force_asymptote",
-    "force_expansion_term",
 ]
 
 
@@ -40,29 +39,6 @@ class FugacityExpansion:
     eta: int
     sigma: int
     within_validity: bool  # advisory: leading term still small
-
-
-def theta_level_sum(m_cutoff: int, k: int, b, sigma: int) -> mpf:
-    """Poisson-resummed level sum sum_{n>=1} exp(-k b e_n).
-
-    Evaluates sqrt(pi/(4kb)) * sum_{|m|<=cutoff} (2 sigma - 1)^m
-    exp(-pi^2 m^2/(k b)) - sigma/2.  The m != 0 images are exponentially
-    suppressed for small b; ``m_cutoff = 0`` keeps only the m = 0 term.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if m_cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    with mp.workdps(DEFAULT_POLICY.dps):
-        b = mpf(b)
-        if not b > 0:
-            raise ValueError("b must be positive")
-        g = mp.exp(-mp.pi ** 2 / (k * b))
-        sgn = 2 * sigma - 1
-        s = mpf(1)
-        for m in range(1, m_cutoff + 1):
-            s += 2 * (sgn ** m) * g ** (m * m)
-        return mp.sqrt(mp.pi / (4 * k * b)) * s - mpf(sigma) / 2
 
 
 def fugacity_expansion(stat: Statistics, side: WellSide, N: int, b,
@@ -105,23 +81,3 @@ def net_force_asymptote(N: int, t, order: str = "leading",
             raise ValueError("the next-order constant depends on the statistics")
         return lead - N / mp.pi * ((mp.sqrt(2) - 1) * stat.eta * N - mpf(1) / 2)
 
-
-def force_expansion_term(stat: Statistics, q, k: int, b, sigma: int,
-                         m_cutoff: int = 5) -> mpf:
-    """k-th term of the fugacity series of a one-side force sum.
-
-    eta^(k-1) q^k sqrt(pi/(16 k^3 b^3)) sum_m (2 sigma - 1)^m
-    (1 - 2 pi^2 m^2/(k b)) exp(-pi^2 m^2/(k b)).  Used to exhibit the
-    cancellation of the order-1/b force between the two half wells.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    with mp.workdps(DEFAULT_POLICY.dps):
-        q = mpf(q)
-        b = mpf(b)
-        g = mp.exp(-mp.pi ** 2 / (k * b))
-        sgn = 2 * sigma - 1
-        s = mpf(1)
-        for m in range(1, m_cutoff + 1):
-            s += 2 * (sgn ** m) * (1 - 2 * mp.pi ** 2 * m * m / (k * b)) * g ** (m * m)
-        return (stat.eta ** (k - 1)) * q ** k * mp.sqrt(mp.pi / (16 * k ** 3 * b ** 3)) * s

@@ -1,14 +1,13 @@
-"""Precision policy, certified summation, root finding and quadrature.
+"""Precision policy, root finding, Gaussian tail bounds and quadrature.
 
 Every quantity the exact oracle reports is accompanied by a bound on the
 error committed by truncating an infinite sum or stopping an iteration.
-The tools here supply those bounds:
+The level sums and their certified tails live in :mod:`.oracle`; the tools
+here supply the rest:
 
 * :func:`find_root_bracketed` - deterministic bracketed root finder:
   a bisection/secant hybrid, or safeguarded Newton when the function also
   returns its derivative.
-* :func:`sum_with_tail_bound` - truncates a positive decreasing series and
-  certifies the dropped tail with a geometric or Gaussian-integral envelope.
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used whenever a dropped sum is replaced by an integral.
 * :func:`quad_semi_infinite` - adaptive quadrature on [0, inf).
@@ -29,16 +28,13 @@ from mpmath import mp, mpf
 
 __all__ = [
     "PrecisionPolicy",
-    "TailBound",
     "RootResult",
     "DEFAULT_POLICY",
     "NoSignChange",
     "MaxIterations",
-    "BoundUnavailable",
     "NonConvergent",
     "PrecisionExhausted",
     "find_root_bracketed",
-    "sum_with_tail_bound",
     "gaussian_tail_upper_bound",
     "quad_semi_infinite",
     "golden_section_minimum",
@@ -55,10 +51,6 @@ class NoSignChange(ValueError):
 
 class MaxIterations(RuntimeError):
     """Iteration budget exhausted before reaching the requested tolerance."""
-
-
-class BoundUnavailable(RuntimeError):
-    """No dominating envelope could be certified from probe evaluations."""
 
 
 class NonConvergent(RuntimeError):
@@ -110,23 +102,6 @@ class PrecisionPolicy:
 
 
 DEFAULT_POLICY = PrecisionPolicy()
-
-
-@dataclass(frozen=True)
-class TailBound:
-    """Certified upper bound on the dropped tail of a truncated sum."""
-
-    kind: str  # geometric | polynomial_geometric | gaussian_integral
-    bound_value: mpf
-    truncation_index: int
-
-    def __post_init__(self):
-        if self.kind not in ("geometric", "polynomial_geometric", "gaussian_integral"):
-            raise ValueError(f"unknown tail-bound kind {self.kind!r}")
-        if not self.bound_value >= 0:
-            raise ValueError("bound_value must be non-negative")
-        if self.truncation_index < 1:
-            raise ValueError("truncation_index must be positive")
 
 
 @dataclass(frozen=True)
@@ -275,133 +250,6 @@ def gaussian_tail_upper_bound(y_trunc) -> mpf:
     if not y > 0:
         raise ValueError("y_trunc must be positive")
     return mp.exp(-y * y) * min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
-
-
-def _gaussian_tail_integral_bound(lam, n) -> mpf:
-    """Upper bound on the integral of exp(-lam*u^2) over [n, inf)."""
-    return gaussian_tail_upper_bound(mp.sqrt(lam) * n) / mp.sqrt(lam)
-
-
-def sum_with_tail_bound(summand: Callable[[int], object],
-                        policy: PrecisionPolicy = DEFAULT_POLICY,
-                        regime_hint: str = "low_t"):
-    """Sum a positive, eventually decreasing series with a certified tail.
-
-    ``regime_hint`` selects the dominating envelope family:
-
-    * ``"low_t"``   - tail dominated by a geometric sequence; the ratio is
-      probed from successive quotients and inflated by a 1.1 safety factor.
-    * ``"high_t"``  - tail dominated by a Gaussian envelope c*exp(-lam*n^2)
-      fitted (conservatively) from probe evaluations.
-
-    Returns ``(value, TailBound)`` with ``value <= true sum <= value +
-    bound_value``.  The truncation index is the smallest one at which the
-    envelope certifies a tail below ``target_abs_error``.
-    """
-    if regime_hint not in ("low_t", "high_t"):
-        raise ValueError(f"unknown regime hint {regime_hint!r}")
-    with mp.workdps(policy.dps):
-        target = mpf(policy.target_abs_error)
-        cache: dict[int, mpf] = {}
-
-        def a(n: int) -> mpf:
-            if n not in cache:
-                v = mpf(summand(n))
-                if v < 0:
-                    raise BoundUnavailable(f"summand({n}) is negative")
-                cache[n] = v
-            return cache[n]
-
-        if regime_hint == "low_t":
-            bound_at, kind = _geometric_bound_factory(a), None
-        else:
-            bound_at, kind = _gaussian_bound_factory(a), "gaussian_integral"
-
-        # find a passing index by doubling, then binary-search the least one
-        n = 4
-        limit = 1 << 24
-        while True:
-            try:
-                if bound_at(n) <= target:
-                    break
-            except BoundUnavailable:
-                if n >= limit:
-                    raise
-            n *= 2
-            if n > limit:
-                raise BoundUnavailable("no certified envelope below the target "
-                                       f"tail {policy.target_abs_error} up to index {limit}")
-        lo = max(1, n // 2)
-        hi = n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            try:
-                ok = bound_at(mid) <= target
-            except BoundUnavailable:
-                ok = False
-            if ok:
-                hi = mid
-            else:
-                lo = mid + 1
-        n_trunc = lo
-        bound, tag = bound_at(n_trunc, with_kind=True)
-        value = mp.fsum(a(m) for m in range(1, n_trunc + 1))
-        return value, TailBound(kind or tag, bound, n_trunc)
-
-
-def _geometric_bound_factory(a):
-    """Tail bound sum_{m>n} a(m) <= a(n+1)/(1 - r) with a probed ratio r."""
-
-    def classify() -> str:
-        # a polynomial prefactor shows up as drifting quotients near the head
-        try:
-            head = [a(m) for m in range(1, 7)]
-        except BoundUnavailable:
-            return "geometric"
-        if any(v <= 0 for v in head):
-            return "geometric"
-        ratios = [y / x for x, y in zip(head, head[1:])]
-        drift = max(ratios) - min(ratios)
-        return "polynomial_geometric" if drift > mpf("0.05") * max(ratios) else "geometric"
-
-    def bound_at(n: int, with_kind: bool = False):
-        a1, a2, a3 = a(n + 1), a(n + 2), a(n + 3)
-        if a1 == 0 and a2 == 0 and a3 == 0:
-            return (mpf(0), "geometric") if with_kind else mpf(0)
-        if a1 <= 0 or a2 <= 0:
-            raise BoundUnavailable(f"cannot probe a ratio at index {n}")
-        r1, r2 = a2 / a1, a3 / a2
-        r = mpf("1.1") * max(r1, r2)
-        if r >= 1:
-            raise BoundUnavailable(
-                f"probed ratio {mp.nstr(r, 6)} at index {n} does not certify decay")
-        val = a1 / (1 - r)
-        return (val, classify()) if with_kind else val
-
-    return bound_at
-
-
-def _gaussian_bound_factory(a):
-    """Tail bound from a conservative Gaussian envelope c*exp(-lam*m^2)."""
-
-    def bound_at(n: int, with_kind: bool = False):
-        a1, a2 = a(n + 1), a(n + 2)
-        probe_far = a(n + 4)
-        if a1 == 0 and a2 == 0 and probe_far == 0:
-            return (mpf(0), "gaussian_integral") if with_kind else mpf(0)
-        if a1 <= 0 or a2 <= 0 or not a2 < a1:
-            raise BoundUnavailable(f"no Gaussian-type decay visible at index {n}")
-        lam = mp.log(a1 / a2) / ((n + 2) ** 2 - (n + 1) ** 2)
-        if not lam > 0:
-            raise BoundUnavailable("probed envelope exponent is not positive")
-        lam = lam / mpf("1.1")  # weaker decay is the safe direction
-        c = mpf("1.1") * a1 * mp.exp(lam * (n + 1) ** 2)
-        if probe_far > c * mp.exp(-lam * (n + 4) ** 2):
-            raise BoundUnavailable(f"envelope violated by probe at index {n + 4}")
-        val = c * (mp.exp(-lam * (n + 1) ** 2) + _gaussian_tail_integral_bound(lam, n + 1))
-        return (val, "gaussian_integral") if with_kind else val
-
-    return bound_at
 
 
 def quad_semi_infinite(integrand: Callable,

@@ -415,28 +415,22 @@ def _on_series_route(alpha: mpf, b: mpf) -> bool:
     return b <= _SERIES_MAX_B and alpha >= _SERIES_MIN_ALPHA
 
 
-def _number_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf, eps: mpf,
-                 table: _LevelTable = None):
-    """(sum_n N_n, its alpha-derivative), each within eps of the full sums.
+def _number_sums(table: _LevelTable, alpha: mpf):
+    """(sum_n N_n, its alpha-derivative), each within ``table.eps`` of the
+    full sums.
 
     The constraint iteration needs only these; the route and the truncation
-    rules are those of :func:`_level_sums`.  ``table``, built from the same
-    (stat, side, b, eps), carries the alpha-independent work from call to
-    call; without it a fresh one is built.
+    rules are those of :func:`_level_sums`.  ``table`` carries the
+    alpha-independent work of the solve from call to call.
     """
-    if table is None:
-        table = _LevelTable(stat, side, b, eps)
-    if _on_series_route(alpha, b):
+    if _on_series_route(alpha, table.b):
         return _number_sums_series(table, alpha)
     return _number_sums_direct(table, alpha)
 
 
-def _level_sums(stat: Statistics, side: WellSide, alpha: mpf, b: mpf,
-                eps: mpf, table: _LevelTable = None) -> _LevelSums:
+def _level_sums(table: _LevelTable, alpha: mpf) -> _LevelSums:
     """All level sums and their tail bounds; ``table`` as for :func:`_number_sums`."""
-    if table is None:
-        table = _LevelTable(stat, side, b, eps)
-    if _on_series_route(alpha, b):
+    if _on_series_route(alpha, table.b):
         return _level_sums_series(table, alpha)
     return _level_sums_direct(table, alpha)
 
@@ -585,20 +579,19 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
                    policy: PrecisionPolicy):
     with mp.workdps(policy.dps):
         b = 1 / mpf(t)
-        eps_sum = _sum_target(policy, b)
-        table = _LevelTable(stat, side, b, eps_sum)
+        table = _LevelTable(stat, side, b, _sum_target(policy, b))
         memo: dict = {}
 
         def g(alpha):
             # a probed bracket end is also the root finder's end point
             if alpha not in memo:
-                number, dnumber = _number_sums(stat, side, alpha, b, eps_sum, table)
+                number, dnumber = _number_sums(table, alpha)
                 memo[alpha] = (number - N, dnumber)
             return memo[alpha]
 
         lo, hi = _bracket_alpha(stat, side, N, table, lambda alpha: g(alpha)[0])
         root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
-        sums = _level_sums(stat, side, root, b, eps_sum, table)
+        sums = _level_sums(table, root)
         residual = abs(sums.number - N) + sums.tail_number
         slope = abs(sums.dnumber) - sums.tail_dnumber
         if not slope > 0:

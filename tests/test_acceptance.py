@@ -11,6 +11,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
+from partition_well import oracle
 from partition_well.boson_medium import (
     medium_error_integral_constants,
     quadratic_approximant,
@@ -21,7 +22,7 @@ from partition_well.fermion_medium import force_kernel_minimum, tanh_surrogate_q
 from partition_well.hightemp import net_force_asymptote
 from partition_well.lowtemp import step_inflection_points
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
-from partition_well.numerics import DEFAULT_POLICY, PrecisionPolicy, sum_with_tail_bound
+from partition_well.numerics import DEFAULT_POLICY
 from partition_well.oracle import (
     locate_inflections,
     locate_minimum,
@@ -233,45 +234,90 @@ def test_criterion_10_equilibrium():
 
 # -- criterion 11: property suite --------------------------------------------
 
+def _direct_sums(eta, tau, alpha, b):
+    """(number, dnumber, force, dforce) summed level by level at 70 digits.
+
+    Stops on the decreasing flank (x_n > 2, b e_n > 2) once e_n e^(-x_n) is
+    below 1e-50; the dropped terms then fall at least geometrically, by
+    e^(-sqrt(2 b)) or faster, which leaves them far below the 1e-35
+    comparison slack.  ``eta = 0`` at ``alpha = 0`` gives Theta_0(b) as the
+    number and Theta_1(b) as the force.
+    """
+    with mp.workdps(70):
+        number = dnumber = force = dforce = mpf(0)
+        n = 1
+        while True:
+            en = (n - tau) ** 2
+            x = alpha + b * en
+            u = mp.exp(-x)
+            occ = u / (1 - eta * u)
+            docc = occ * (1 + eta * occ)
+            number += occ
+            dnumber -= docc
+            force += en * occ
+            dforce -= en * docc
+            if x > 2 and b * en > 2 and en * u < mpf("1e-50"):
+                return number, dnumber, force, dforce
+            n += 1
+
+
+def _within_tail(value, tail, brute):
+    return abs(value - brute) <= tail + mpf("1e-35") * max(1, abs(brute))
+
+
 def test_criterion_11_tail_bound_soundness():
+    """Every certified sum of the oracle contains the full sum.
+
+    The four level sums of both routes (Gaussian tails on the direct route;
+    geometric and k-weighted geometric tails of the fugacity series, q up to
+    e^(-1/2); e_n-weighted sums in force and dforce) and Theta_0, Theta_1 on
+    both branches (beta below and above 1.5), each against a 70-digit
+    level-by-level sum: |value - brute| <= tail + 1e-35 max(1, |brute|).
+    """
     rng = random.Random(20260809)
-    policy = PrecisionPolicy(target_abs_error=1e-10, target_rel_error=1e-10)
-    worst_slack = mpf("inf")
-    for i in range(1000):
-        kind = i % 4
-        if kind in (0, 1):  # pure geometric
-            q = mpf(rng.uniform(0.05, 0.9))
-            scale = mpf(10) ** rng.randint(-3, 3)
-            summand = lambda n, q=q, s=scale: s * q ** n
-            hint = "low_t"
-        elif kind == 2:  # polynomial prefactor
-            q = mpf(rng.uniform(0.05, 0.8))
-            c2, c1, c0 = (rng.randint(0, 5) for _ in range(3))
-            summand = lambda n, q=q, c2=c2, c1=c1, c0=c0: \
-                (c2 * n * n + c1 * n + c0 + 1) * q ** n
-            hint = "low_t"
-        else:  # gaussian envelope
-            lam = mpf(rng.uniform(0.004, 0.8))
-            c = mpf(10) ** rng.randint(-2, 2)
-            summand = lambda n, lam=lam, c=c: c * mp.e ** (-lam * n * n)
-            hint = "high_t"
-        value, bound = sum_with_tail_bound(summand, policy, hint)
-        with mp.workdps(45):
-            brute = mpf(0)
-            n = 1
-            while True:
-                term = summand(n)
-                brute += term
-                if term < brute * mpf("1e-36") and n > bound.truncation_index:
-                    break
-                n += 1
-        slack = mpf("1e-18") * max(1, abs(brute))
-        assert value <= brute + slack, f"instance {i}: partial sum exceeds the series"
-        assert brute <= value + bound.bound_value + slack, \
-            f"instance {i}: tail bound too small"
-        worst_slack = min(worst_slack, value + bound.bound_value - brute)
-    check("11", "tail bounds sound on 1000 randomized summands",
-          f"min residual margin={mp.nstr(worst_slack, 4)}", worst_slack >= -mpf("1e-18"))
+
+    def draw_side():
+        side = rng.choice((W_MINUS, W_PLUS))
+        return side, as_mpf(side.tau), mpf(10) ** rng.uniform(-22, -10)
+
+    routes = {"direct": 0, "series": 0}
+    with mp.workdps(DEFAULT_POLICY.dps):
+        for i in range(1000):
+            stat = rng.choice((BOSON, FERMION))
+            side, tau, eps = draw_side()
+            if i % 2:  # fugacity series
+                b = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(0.5))
+                alpha = mpf(rng.uniform(0.5, 8))
+            else:  # direct summation
+                b = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(30))
+                top = 8 if b > 0.5 else 0.5
+                if stat.is_boson:  # from just above the pole
+                    alpha = -b * (1 - tau) ** 2 + mpf(10) ** rng.uniform(-4, 1)
+                    alpha = min(alpha, mpf(top) - mpf("1e-3"))
+                else:
+                    alpha = mpf(rng.uniform(-40, top))
+            sums = oracle._level_sums(oracle._LevelTable(stat, side, b, eps), alpha)
+            routes[sums.route] += 1
+            brute = _direct_sums(stat.eta, tau, alpha, b)
+            for name, value, tail, exact in zip(
+                    ("number", "dnumber", "force", "dforce"), sums[:4], sums[4:8], brute):
+                assert _within_tail(value, tail, exact), \
+                    f"instance {i} ({sums.route}): {name} beyond its tail bound"
+        for i in range(200):
+            side, tau, eps = draw_side()
+            if i % 2:  # direct branch
+                beta = mpf(10) ** rng.uniform(mp.log10(1.5), mp.log10(30))
+            else:  # Poisson branch
+                beta = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(1.5))
+                beta = min(beta, mpf(1.5) - mpf("1e-3"))
+            brute = _direct_sums(0, tau, 0, beta)
+            for name, theta, exact in (("Theta_0", oracle._theta0, brute[0]),
+                                       ("Theta_1", oracle._theta1, brute[2])):
+                value, err = theta(beta, tau, side.sigma, eps)
+                assert _within_tail(value, err, exact), \
+                    f"theta pair {i}: {name}(beta={mp.nstr(beta, 6)}) beyond its error"
+    check("11", "certified level sums and theta sums contain the 70-digit sums",
+          f"routes={routes}, 200 theta pairs", min(routes.values()) >= 300)
 
 
 def test_criterion_11_constraint_residuals():

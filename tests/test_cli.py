@@ -274,6 +274,36 @@ class TestExitCodes:
                         "--t-value", t_value]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["curve", "--N", "2", "--t", "1:2:2:log"],
+                                         ["show-config"]], ids=["curve", "show-config"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "-5", "nan", "inf"])
+    def test_abs_tol_not_positive_finite_usage_error(self, command, tol, capsys):
+        assert run_cli(command + ["--abs-tol=" + tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("line", ["N=abc", "digits=x", "jobs=1.5", "abs_tol=foo",
+                                      "abs_tol=0"])
+    def test_bad_config_value_usage_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(line + "\n")
+        assert run_cli(["show-config", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split("=")[0] in err
+
+    def test_unreadable_config_usage_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.conf"
+        binary.write_bytes(b"N=\xff\xfe\n")
+        for path in (tmp_path, binary):
+            assert run_cli(["show-config", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_unopenable_out_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "curve.csv"
+        assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot open output file")
+
     @pytest.mark.parametrize("exc", [MaxIterations, PrecisionExhausted,
                                      NoSignChange, NonConvergent])
     def test_solver_failures_exit_3_on_report(self, exc, monkeypatch, capsys):

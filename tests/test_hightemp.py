@@ -1,39 +1,44 @@
 import pytest
 from mpmath import mp, mpf
 
-from partition_well.hightemp import (
-    force_expansion_term,
-    fugacity_expansion,
-    net_force_asymptote,
-    theta_level_sum,
-)
-from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS
-from partition_well.oracle import net_force, solve_alpha
+from partition_well.hightemp import fugacity_expansion, net_force_asymptote
+from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
+from partition_well.numerics import DEFAULT_POLICY
+from partition_well.oracle import _theta0, _theta1, net_force, solve_alpha
+
+EPS = mpf("1e-30")
 
 
 class TestThetaLevelSum:
+    """Poisson form of the level sum Theta_0(b) = sum_n exp(-b e_n):
+    sqrt(pi/(4b)) sum_m (2 sigma - 1)^m exp(-pi^2 m^2/b) - sigma/2, which
+    the oracle evaluates below b = 1.5."""
+
     def test_single_image_term(self):
-        b = mpf("0.37")
-        assert abs(theta_level_sum(0, 1, b, 0) - mp.sqrt(mp.pi / (4 * b))) < mpf("1e-30")
+        # on the plus side (sigma = 0) the m = 0 term alone is sqrt(pi/(4b));
+        # the first image, -2 sqrt(pi/(4b)) e^(-pi^2/b), is all that is left
+        with mp.workdps(DEFAULT_POLICY.dps):
+            b = mpf("0.37")
+            lead = mp.sqrt(mp.pi / (4 * b))
+            theta, err = _theta0(b, as_mpf(W_PLUS.tau), W_PLUS.sigma, EPS)
+            first_image = -2 * lead * mp.exp(-mp.pi ** 2 / b)
+            assert abs(theta - lead - first_image) <= err + abs(first_image) * mpf("1e-6")
 
     def test_matches_direct_level_sum_at_moderate_b(self):
-        b = mpf(10)
-        brute = mp.fsum(mp.e ** (-b * n * n) for n in range(1, 10))
-        assert abs(theta_level_sum(3, 1, b, 1) - brute) < mpf("1e-6")
+        with mp.workdps(DEFAULT_POLICY.dps):
+            b = mpf("1.2")
+            for side in (W_MINUS, W_PLUS):
+                tau = as_mpf(side.tau)
+                brute = mp.fsum(mp.exp(-b * (n - tau) ** 2) for n in range(1, 40))
+                theta, err = _theta0(b, tau, side.sigma, EPS)
+                assert abs(theta - brute) <= err + mpf("1e-38")
 
     def test_images_negligible_at_small_b(self):
-        b = mpf("0.01")
-        with_images = theta_level_sum(3, 1, b, 0)
-        without = theta_level_sum(0, 1, b, 0)
-        assert abs(with_images - without) / with_images < mpf("1e-8")
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            theta_level_sum(3, 0, 1.0, 0)
-        with pytest.raises(ValueError):
-            theta_level_sum(-1, 1, 1.0, 0)
-        with pytest.raises(ValueError):
-            theta_level_sum(3, 1, -1.0, 0)
+        with mp.workdps(DEFAULT_POLICY.dps):
+            b = mpf("0.01")
+            theta, _ = _theta0(b, as_mpf(W_MINUS.tau), W_MINUS.sigma, EPS)
+            without = mp.sqrt(mp.pi / (4 * b)) - mpf(1) / 2
+            assert abs(theta - without) / theta < mpf("1e-35")
 
 
 class TestFugacityExpansion:
@@ -98,9 +103,11 @@ class TestAsymptote:
 
 def test_leading_force_term_cancels_between_sides():
     # with the side-independent order-1 fugacity, the k=1 series term of the
-    # force is identical for the two sides and drops out of the difference
-    b = mpf("1e-5")
-    q1 = fugacity_expansion(BOSON, W_PLUS, 100, b, 1).q_value
-    plus = force_expansion_term(BOSON, q1, 1, b, W_PLUS.sigma)
-    minus = force_expansion_term(BOSON, q1, 1, b, W_MINUS.sigma)
-    assert abs(plus - minus) / plus < mpf("1e-25")
+    # force, q Theta_1(b), is identical for the two sides and drops out of
+    # the difference
+    with mp.workdps(DEFAULT_POLICY.dps):
+        b = mpf("1e-5")
+        q1 = fugacity_expansion(BOSON, W_PLUS, 100, b, 1).q_value
+        plus = q1 * _theta1(b, as_mpf(W_PLUS.tau), W_PLUS.sigma, EPS)[0]
+        minus = q1 * _theta1(b, as_mpf(W_MINUS.tau), W_MINUS.sigma, EPS)[0]
+        assert abs(plus - minus) / plus < mpf("1e-25")

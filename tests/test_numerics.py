@@ -1,13 +1,9 @@
-import random
-
 import pytest
 from mpmath import mp, mpf
 
 from partition_well.boson_medium import spectral_sum
 from partition_well.model import W_MINUS
 from partition_well.numerics import (
-    BoundUnavailable,
-    DEFAULT_POLICY,
     GUARD_DIGITS,
     MaxIterations,
     NoSignChange,
@@ -17,7 +13,6 @@ from partition_well.numerics import (
     gaussian_tail_upper_bound,
     golden_section_minimum,
     quad_semi_infinite,
-    sum_with_tail_bound,
 )
 
 
@@ -153,62 +148,6 @@ class TestRootFinderNewton:
         with pytest.raises(MaxIterations):
             find_root_bracketed(self.cos_fixed_point, 0, 1,
                                 PrecisionPolicy(max_iterations=2), derivative=True)
-
-
-class TestSumWithTailBound:
-    def test_geometric_half(self):
-        value, bound = sum_with_tail_bound(lambda n: mpf(2) ** (-n))
-        assert bound.kind in ("geometric", "polynomial_geometric")
-        assert value <= 1 <= value + bound.bound_value
-        assert 1 - value < 1e-10
-
-    def test_quadratic_prefactor(self):
-        # sum n^2 / 2^n = 6
-        value, bound = sum_with_tail_bound(lambda n: n * n * mpf(2) ** (-n))
-        assert value <= 6 <= value + bound.bound_value
-        assert 6 - value < 1e-10
-        assert bound.kind == "polynomial_geometric"
-
-    def test_gaussian_summand(self):
-        value, bound = sum_with_tail_bound(
-            lambda n: mp.e ** (-mpf("0.01") * n * n), regime_hint="high_t")
-        brute = mp.fsum(mp.e ** (-mpf("0.01") * n * n) for n in range(1, 10 ** 4))
-        assert bound.kind == "gaussian_integral"
-        assert value <= brute + mpf("1e-25") <= value + bound.bound_value + mpf("1e-25")
-
-    def test_minimal_truncation_index(self):
-        target = DEFAULT_POLICY.target_abs_error
-        value, bound = sum_with_tail_bound(lambda n: mpf(2) ** (-n))
-        assert bound.bound_value <= target
-        # one index earlier the bound must not certify yet
-        n = bound.truncation_index
-        early_tail = mpf(2) ** (-n) / (1 - mpf("1.1") / 2)
-        assert early_tail > target
-
-    def test_growth_without_decay_fails(self):
-        with pytest.raises(BoundUnavailable):
-            sum_with_tail_bound(lambda n: mpf(n), policy=PrecisionPolicy(max_iterations=50))
-
-
-def test_doubled_digits_stability():
-    summand = lambda n: (n + 2) * mpf(3) ** (-n)
-    policy = PrecisionPolicy(working_digits=30, max_digits=120)
-    v1, b1 = sum_with_tail_bound(summand, policy)
-    v2, _ = sum_with_tail_bound(summand, policy.escalate())
-    assert abs(v1 - v2) < b1.bound_value
-
-
-def test_tail_bound_soundness_randomized():
-    # small-scale version of the acceptance property (full run lives there)
-    rng = random.Random(7)
-    for _ in range(40):
-        q = mpf(rng.uniform(0.1, 0.85))
-        c2, c1, c0 = (rng.randint(0, 3) for _ in range(3))
-        summand = lambda n, q=q, c2=c2, c1=c1, c0=c0: (c2 * n * n + c1 * n + c0 + 1) * q ** n
-        value, bound = sum_with_tail_bound(summand)
-        brute = mp.fsum(summand(n) for n in range(1, 4000))
-        assert value <= brute + mpf("1e-22")
-        assert brute <= value + bound.bound_value + mpf("1e-22")
 
 
 class TestGaussianTail:

@@ -429,8 +429,7 @@ class TestRootCounters:
                 centre, width = oracle._filled_levels_window(side, 1, b)
 
                 def g(alpha):
-                    number, dnumber = oracle._number_sums(FERMION, side, alpha, b, eps,
-                                                          table)
+                    number, dnumber = oracle._number_sums(table, alpha)
                     return number - 1, dnumber
 
                 res = oracle.find_root_bracketed(
@@ -460,11 +459,11 @@ class TestClosedFormEnds:
         with mp.workdps(policy.working_digits + GUARD_DIGITS):
             b = 1 / mpf(10) ** log10_t
             eps = oracle._sum_target(policy, b)
-            lo, hi = oracle._closed_form_ends(
-                stat, side, N, oracle._LevelTable(stat, side, b, eps))
+            table = oracle._LevelTable(stat, side, b, eps)
+            lo, hi = oracle._closed_form_ends(stat, side, N, table)
 
             def g(alpha):
-                return oracle._number_sums(stat, side, alpha, b, eps)[0] - N
+                return oracle._number_sums(table, alpha)[0] - N
 
             assert g(hi) < 0
             if stat.is_boson:
@@ -480,6 +479,9 @@ class TestNumberSums:
     only as an offset."""
 
     EPS = mpf("1e-14")
+
+    def _table(self, stat, side, b):
+        return oracle._LevelTable(stat, side, b, self.EPS)
 
     @settings(max_examples=60, deadline=None)
     @given(stat=st.sampled_from([BOSON, FERMION]),
@@ -497,8 +499,8 @@ class TestNumberSums:
             alpha = mpf(alpha)
             if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
                 alpha = -b * as_mpf(side.e1) + mpf("0.01")
-            number, dnumber = oracle._number_sums(stat, side, alpha, b, self.EPS)
-            full = oracle._level_sums(stat, side, alpha, b, self.EPS)
+            number, dnumber = oracle._number_sums(self._table(stat, side, b), alpha)
+            full = oracle._level_sums(self._table(stat, side, b), alpha)
             # each is within its truncation target of the untruncated sums:
             # eps for the number, 2 eps for its derivative
             assert abs(number - full.number) <= 2 * self.EPS
@@ -521,12 +523,12 @@ class TestNumberSums:
             alpha = mpf(alpha)
             if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
                 alpha = -b * as_mpf(side.e1) + mpf("0.01")
-            table = oracle._LevelTable(stat, side, b, self.EPS)
+            table = self._table(stat, side, b)
             for other in (alpha + 1, alpha + 3, max(alpha - 1, alpha / 2)):
-                oracle._number_sums(stat, side, other, b, self.EPS, table)
+                oracle._number_sums(table, other)
             for sums in (oracle._number_sums, oracle._level_sums):
-                plain = sums(stat, side, alpha, b, self.EPS)
-                tabled = sums(stat, side, alpha, b, self.EPS, table)
+                plain = sums(self._table(stat, side, b), alpha)
+                tabled = sums(table, alpha)
                 assert abs(tabled[0] - plain[0]) <= 2 * self.EPS
                 assert abs(tabled[1] - plain[1]) <= 4 * self.EPS
             assert tabled.route == plain.route and tabled.terms == plain.terms
