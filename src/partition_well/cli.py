@@ -473,12 +473,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_out(cfg: RunConfig):
+    """A new file beside ``--out`` for the output, or None; :func:`_close_out`
+    moves it over ``--out`` only when the command succeeds, so that a failed
+    run leaves an existing file as it was."""
     if not cfg.out:
         return None
     try:
-        return open(cfg.out, "w", encoding="utf-8", newline="\n")
+        if os.path.isdir(cfg.out) or (os.path.exists(cfg.out) and not os.access(cfg.out, os.W_OK)):
+            raise PermissionError("not a writable file")
+        return open(f"{os.path.realpath(cfg.out)}.{os.getpid()}.tmp", "x",
+                    encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot open output file {cfg.out}: {exc}") from None
+
+
+def _close_out(handle, out: str, keep: bool):
+    handle.close()
+    try:
+        if keep:
+            os.replace(handle.name, os.path.realpath(out))
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {out}: {exc}") from None
+    finally:
+        if os.path.exists(handle.name):
+            os.remove(handle.name)
+
+
+def _run(args, cfg: RunConfig, stream) -> int:
+    if args.command == "curve":
+        return _run_curve(cfg, stream)
+    if args.command == "compare":
+        names = []
+        for part in args.approx:
+            names.extend(x for x in part.split(",") if x)
+        return _run_compare(cfg, names, stream)
+    if args.command == "report":
+        window = None if args.window is None else _parse_window(args.window)
+        return _run_report(cfg, args.kind, args.t_value, window, stream)
+    raise UsageError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -495,22 +527,13 @@ def main(argv=None) -> int:
             sys.stdout.write("\n")
             return EXIT_OK
         handle = _open_out(cfg)
-        stream = handle or sys.stdout
+        code = None
         try:
-            if args.command == "curve":
-                return _run_curve(cfg, stream)
-            if args.command == "compare":
-                names = []
-                for part in args.approx:
-                    names.extend(x for x in part.split(",") if x)
-                return _run_compare(cfg, names, stream)
-            if args.command == "report":
-                window = None if args.window is None else _parse_window(args.window)
-                return _run_report(cfg, args.kind, args.t_value, window, stream)
-            raise UsageError(f"unknown command {args.command!r}")
+            code = _run(args, cfg, handle or sys.stdout)
         finally:
             if handle:
-                handle.close()
+                _close_out(handle, cfg.out, code == EXIT_OK)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

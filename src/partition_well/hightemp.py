@@ -2,10 +2,11 @@
 
 For small ``b = 1/t`` the occupancies are expanded in powers of the
 fugacity ``q = exp(-alpha)`` and each level sum is Poisson-resummed into a
-rapidly converging theta series (the oracle's fugacity-series route sums
-the same series with certified tails).  Matching the particle-number
-constraint order by order gives ``q`` to second order and, from it, the
-leading and next-to-leading behaviour of the net force,
+rapidly converging theta series (the oracle sums the levels themselves,
+on a strided lattice with certified aliasing and truncation bounds).
+Matching the particle-number constraint order by order gives ``q`` to
+second order and, from it, the leading and next-to-leading behaviour of
+the net force,
 
     delta_f = (N/2) sqrt(t/pi) - (N/pi) [(sqrt(2)-1) eta N - 1/2] + O(t^-1/2),
 

@@ -33,28 +33,28 @@ precision: with a single occupied level the bound is tight.  Only fermions
 between the degenerate and the classical regime probe the constraint for
 their lower end.
 
-Two evaluation routes are used, both exact up to the certified bounds:
-
-* direct summation over levels, with Gaussian-integral tail bounds;
-* for small ``b`` and ``alpha >= 1/2``, the geometrically convergent
-  fugacity series ``sum_k eta^(k-1) q^k Theta(k b)`` whose level sums
-  ``Theta`` are evaluated through their Poisson-resummed (theta-function)
-  form.
+Every level sum runs one strided loop over points y_j = y_0 + m j with
+weight m.  Stride m = 1 with y_0 = 1 - tau sums every level y = n - tau.
+Where alpha > 0, f(y) = 1/(e^(alpha + b y^2) - eta) is analytic in a strip
+around the real axis, and by Poisson summation m times the sum over every
+m-th point of mZ, plus the closed term (m - sigma) f(0)/2, equals the level
+sum up to a certified aliasing bound.  The stride is the largest one whose
+aliasing stays within half the truncation target: at small b a few dozen
+points replace thousands of levels.  alpha <= 0 keeps m = 1.
 
 Within one solve b is fixed and only alpha changes, so each solve builds a
 level table (:class:`_LevelTable`) that the bracket ends, every Newton step
 and the final evaluation read from.  It holds what does not depend on
-alpha, extended lazily as deeper truncations need it: Theta_0(k b) with its
-certified error per fugacity index k, the ratios e^(-b (e_(n+1) - e_n)) of
-successive level weights e^(-b e_n), and the Gaussian tail bound at each
-truncation index.  A number-only sum at a new alpha then
-costs two exponentials and multiplications, and the final series
-evaluation sums only Theta_1 afresh.  The table is dropped when the solve
-returns; nothing is cached across solves.
+alpha, extended lazily as deeper truncations need it: Theta_0(b) with its
+certified error, and per stride the ratios of successive point weights
+e^(-b y_j^2) and the Gaussian tail bound after each point.  A level sum at
+a new alpha then costs two exponentials and multiplications.  The table is
+dropped when the solve returns; nothing is cached across solves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -89,10 +89,6 @@ __all__ = [
     "locate_inflections",
 ]
 
-# route thresholds: the fugacity series needs q = e^-alpha safely below 1,
-# and pays off only where the Poisson form of the level sums is cheap
-_SERIES_MIN_ALPHA = mpf("0.5")
-_SERIES_MAX_B = mpf("0.5")
 _THETA_POISSON_MAX_BETA = mpf("1.5")
 
 
@@ -158,8 +154,8 @@ class _LevelSums(NamedTuple):
     tail_dnumber: mpf
     tail_force: mpf
     tail_dforce: mpf
-    terms: int
-    route: str
+    terms: int           # points summed
+    stride: int
 
 
 def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
@@ -189,250 +185,227 @@ def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
         m += 1
 
 
-def _theta1(beta: mpf, tau: mpf, sigma: int, eps: mpf):
-    """sum_{n>=1} e_n exp(-beta e_n) with certified error below eps."""
-    if beta >= _THETA_POISSON_MAX_BETA:
-        u = mp.exp(-beta * (1 - tau) ** 2)
-        rho = mp.exp(-beta * (2 * (1 - tau) + 1))
-        shrink = mp.exp(-2 * beta)
-        s = mpf(0)
-        n = 1
-        while True:
-            en = (n - tau) ** 2
-            s += en * u
-            ratio = rho * ((n + 1 - tau) / (n - tau)) ** 2
-            if ratio < mpf("0.9"):
-                tail = en * u * ratio / (1 - ratio)
-                if tail < eps:
-                    return s, tail
-            u *= rho
-            rho *= shrink
-            n += 1
-    pref = mp.sqrt(mp.pi / (16 * beta ** 3))
-    g = mp.exp(-mp.pi ** 2 / beta)
-    sgn = 2 * sigma - 1
-    s = mpf(1)
-    m = 1
-    while True:
-        s += 2 * (sgn ** m) * (1 - 2 * mp.pi ** 2 * m * m / beta) * g ** (m * m)
-        # |1 - 2 pi^2 m^2/beta| <= 1 + 2 pi^2 m^2/beta and g^(2m+1) < 1/2 here
-        nxt = (1 + 2 * mp.pi ** 2 * (m + 1) ** 2 / beta) * g ** ((m + 1) ** 2)
-        tail = pref * 4 * nxt
-        if tail < eps:
-            return pref * s, tail
-        m += 1
+def _strip(lib, alpha, b):
+    """(a, M, 1 - e^(-delta), 1/(2b) + a^2) of f(y) = 1/(e^(alpha + b y^2) - eta)
+    at alpha > 0, in ``math`` (to choose a stride) or ``mp`` (to certify it).
+
+    With delta = alpha/16, Re(alpha + b y^2) >= delta + b x^2 on the strip
+    |Im y| <= a = sqrt((alpha - delta)/b), y = x + i s.  So, for both
+    statistics, |f| <= e^(-delta - b x^2)/(1 - e^(-delta)) there, and |f|
+    integrates to at most M = sqrt(pi/b) e^(-delta)/(1 - e^(-delta)) along
+    every line of the strip.  The alpha-derivative of f has one more factor
+    1/(1 - e^(-delta)); |y^2| <= x^2 + a^2 multiplies M by 1/(2b) + a^2.
+    """
+    delta = alpha / 16
+    a = lib.sqrt((alpha - delta) / b)
+    shortfall = -lib.expm1(-delta)
+    return a, lib.sqrt(lib.pi / b) * lib.exp(-delta) / shortfall, shortfall, 1 / (2 * b) + a * a
+
+
+class _Lattice:
+    """Points y_j = y_0 + m j (j >= 0) of stride m, with the ratios
+    e^(-b (2 m y_j + m^2)) of successive weights e^(-b y_j^2), each the last
+    times e^(-2 b m^2), and the Gaussian tail bound after each point."""
+
+    def __init__(self, b: mpf, sqrt_b: mpf, y0: mpf, m: int):
+        self.m, self.y0, self.b_y0, self._sqrt_b = m, y0, b * y0 ** 2, sqrt_b
+        self._ratios = [mp.exp(-b * (m * (2 * y0 + m)))]
+        self._shrink = mp.exp(-2 * b * m * m)
+        self._gauss = {}
+
+    def ratio(self, j: int) -> mpf:
+        ratios = self._ratios
+        while len(ratios) <= j:
+            ratios.append(ratios[-1] * self._shrink)
+        return ratios[j]
+
+    def gauss(self, j: int) -> mpf:
+        """Upper bound on the tail integral of e^(-s^2) from sqrt(b) y_(j+1)."""
+        if j not in self._gauss:
+            y_next = self.y0 + self.m * (j + 1)
+            self._gauss[j] = gaussian_tail_upper_bound(self._sqrt_b * y_next)
+        return self._gauss[j]
 
 
 class _LevelTable:
     """The alpha-independent parts of the level sums of one constraint solve.
 
-    Built from (stat, side, b, eps) and extended lazily as the sums at
-    successive alphas reach deeper; it lives as long as the solve.  It holds
-
-    * for the fugacity series, Theta_0(k b) and its certified error per
-      index k (:meth:`theta0`);
-    * for direct summation, the ratios rho_n = e^(-b (e_(n+1) - e_n)) of
-      successive level weights, from rho_(n+1) = rho_n e^(-2b)
-      (:meth:`ratio`), and w_1 = e^(-b e_1), the weight of the first level;
-    * the Gaussian tail bound at each truncation index (:meth:`gauss`).
-
-    A level sum at alpha then costs the exponentials e^(-alpha) and
-    e^(-x_1) and multiplications: u_(n+1) = u_n rho_n gives every
-    u_n = e^(-x_n).  Theta_0(b), whose relative accuracy the closed-form
-    bracket ends need, is summed to 10^(-dps) e^(-b e_1) where that is below
-    the series target.
+    Built from (stat, side, b, eps), extended lazily, and dropped with the
+    solve.  It holds Theta_0(b) for the closed-form bracket ends, summed to
+    10^(-dps) w_1 (w_1 = e^(-b e_1), the weight of the first level), and one
+    :class:`_Lattice` per stride used: the levels y = n - tau for m = 1,
+    the points y = m, 2m, ... for m >= 2.  A level sum at alpha then costs
+    e^(-alpha), e^(-alpha - b y_0^2) and multiplications.
     """
 
     def __init__(self, stat: Statistics, side: WellSide, b: mpf, eps: mpf):
-        self.eta = stat.eta
+        self.eta, self.sigma, self.b, self.eps = stat.eta, side.sigma, b, eps
         self.tau = tau = as_mpf(side.tau)
-        self.sigma = side.sigma
-        self.b = b
-        self.eps = eps
         self.sqrt_b = mp.sqrt(b)
-        self.b_e1 = b * (1 - tau) ** 2
-        self.w1 = mp.exp(-self.b_e1)
-        self._ratios = [mp.exp(-b * (2 * (1 - tau) + 1))]
-        self._shrink = mp.exp(-2 * b)
-        self._gauss = {}
-        self._theta0 = []
+        self.w1 = mp.exp(-b * (1 - tau) ** 2)
+        self._float_b, self._float_eps = float(b), float(eps)
+        self._log_inv_eps = -math.log(self._float_eps)
+        self._lattices = {}
+        self._theta0 = None
 
-    def ratio(self, n: int) -> mpf:
-        """rho_n = w_(n+1)/w_n of level n >= 1."""
-        ratios = self._ratios
-        while len(ratios) < n:
-            ratios.append(ratios[-1] * self._shrink)
-        return ratios[n - 1]
+    def lattice(self, m: int) -> _Lattice:
+        if m not in self._lattices:
+            y0 = 1 - self.tau if m == 1 else mpf(m)
+            self._lattices[m] = _Lattice(self.b, self.sqrt_b, y0, m)
+        return self._lattices[m]
 
-    def gauss(self, n: int) -> mpf:
-        """Upper bound on the tail integral of e^(-y^2) from sqrt(b) (n + 1 - tau)."""
-        if n not in self._gauss:
-            self._gauss[n] = gaussian_tail_upper_bound(self.sqrt_b * (n + 1 - self.tau))
-        return self._gauss[n]
+    def theta0(self) -> tuple:
+        """(Theta_0(b), its certified error)."""
+        if self._theta0 is None:
+            self._theta0 = _theta0(self.b, self.tau, self.sigma,
+                                   self.w1 * mpf(10) ** (-mp.dps))
+        return self._theta0
 
-    def theta0(self, k: int) -> tuple:
-        """(Theta_0(k b), its certified error) of fugacity index k >= 1."""
-        while len(self._theta0) < k:
-            j = len(self._theta0) + 1
-            eps = self.eps / 16
-            if j == 1:
-                eps = min(eps, self.w1 * mpf(10) ** (-mp.dps))
-            self._theta0.append(_theta0(j * self.b, self.tau, self.sigma, eps))
-        return self._theta0[k - 1]
+    def stride(self, alpha: mpf) -> int:
+        """The largest stride whose :meth:`aliasing` stays within half the
+        truncation target of each sum (eps/2 for the number and the force,
+        eps for their alpha-derivatives), chosen in floating point; 1 where
+        alpha <= 0 (a Bose pole near the axis, or a degenerate Fermi sea)."""
+        x = float(alpha)
+        # a float precheck: stride 2 needs e^(pi a) above M/eps, about 1/eps
+        if not (x > 0 and 2 * math.pi * math.sqrt(x / self._float_b) > self._log_inv_eps):
+            return 1
+        a, bound, shortfall, weight = _strip(math, x, self._float_b)
+        # the largest M/budget of the four sums, with room for rounding;
+        # bound is 0 only where e^(-alpha/16) underflows
+        ratio = bound / self._float_eps * max(2, 1 / shortfall) * max(1, weight)
+        room = (1 - 1e-6) / ratio - 1 / math.expm1(min(2 * math.pi * a, 700)) if ratio else 0
+        if not room > 0:
+            return 1
+        m = int(min(2 * math.pi * a / math.log1p(1 / room), a))
+        return m if m >= 2 else 1
+
+    def aliasing(self, alpha: mpf, m: int) -> tuple:
+        """Bounds on |sum_(n>=1) F(n - tau) - S_m| for F in the number,
+        dnumber, force and dforce sums, S_m = (m - sigma) F(0)/2 +
+        m sum_(j>=1) F(m j).
+
+        By Poisson summation (Trefethen & Weideman, SIAM Rev. 56 (2014) 385,
+        Thm 5.1) h times a lattice sum of step h is within 2 M/(e^(2 pi a/h)
+        - 1) of the integral of F, with a and M from :func:`_strip`.  F is
+        even: the level sum is half its sum over Z + tau (less F(0)/2 if
+        sigma = 1), and S_m half of m times its sum over mZ; each is within
+        half that bound of half the integral, at h = 1 and at h = m.
+        """
+        a, bound, shortfall, weight = _strip(mp, alpha, self.b)
+        g = 1 / mp.expm1(2 * mp.pi * a / m) + 1 / mp.expm1(2 * mp.pi * a)
+        dbound = bound / shortfall
+        return bound * g, dbound * g, bound * weight * g, dbound * weight * g
 
 
-def _level_sums_direct(table: _LevelTable, alpha: mpf) -> _LevelSums:
-    eta, tau, b, eps, sqrt_b = table.eta, table.tau, table.b, table.eps, table.sqrt_b
-    u = mp.exp(-(alpha + table.b_e1))
-    s_n = mpf(0)
-    s_dn = mpf(0)
-    s_f = mpf(0)
-    s_df = mpf(0)
-    n = 1
+def _cut(table: _LevelTable, lattice: _Lattice, alpha: mpf, ealpha: mpf, j: int,
+         y: mpf, en: mpf, u: mpf, u_next: mpf, eps: mpf):
+    """(number tail, force tail) of the points after y_j once both are below
+    ``eps``, else None: the first dropped term plus the integral beyond it
+    (N <= 2 e^(-x) for x >= ln 2, a decreasing force integrand for
+    b y^2 >= 2).  The alpha-derivatives have twice these tails."""
+    m, b, sqrt_b = lattice.m, table.b, table.sqrt_b
+    # a cheap precheck before the closed-form bounds
+    if not (m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2):
+        return None
+    y_next = y + m
+    z = sqrt_b * y_next
+    g0 = lattice.gauss(j)
+    g2 = z / 2 * mp.exp(-z * z) + g0 / 2
+    tail_n = 2 * (m * u_next + ealpha / sqrt_b * g0)
+    tail_f = 2 * (m * (y_next * y_next) * u_next + ealpha / (b * sqrt_b) * g2)
+    return (tail_n, tail_f) if tail_n < eps and tail_f < eps else None
+
+
+def _origin_terms(table: _LevelTable, ealpha: mpf, m: int) -> tuple:
+    """(m - sigma) F(0)/2 of the number sum and of its alpha-derivative,
+    F(0) = 1/(e^alpha - eta); the force sums have F(0) = 0."""
+    occ0 = ealpha / (1 - table.eta * ealpha)
+    half = mpf(m - table.sigma) / 2
+    return half * occ0, -half * occ0 * (1 + table.eta * occ0)
+
+
+def _number_sums(table: _LevelTable, alpha: mpf, m: int = None):
+    """(sum_n N_n, its alpha-derivative), within ``table.eps`` and
+    2 ``table.eps`` of the full sums: the loop of :func:`_level_sums`
+    without the force sums, for the constraint iteration.  At m = 1 it stops
+    on the number tail alone; at m >= 2 where :func:`_level_sums` stops, so
+    that the root is found on the number sums of the final evaluation.
+    """
+    if m is None:
+        m = table.stride(alpha)
+    lattice = table.lattice(m)
+    one, fermion, b, sqrt_b = mpf(1), table.eta < 0, table.b, table.sqrt_b
+    # stride m >= 2 leaves half the target to the aliasing
+    eps = table.eps if m == 1 else table.eps / 2
+    u_cut = eps / 4 / m  # a necessary condition of either cut
+    u = mp.exp(-(alpha + lattice.b_y0))
+    s_n = s_dn = mpf(0)
     ealpha = mp.exp(-alpha)
-    while True:
-        en = (n - tau) ** 2
-        occ = u / (1 - eta * u)
-        docc = occ * (1 + eta * occ)
+    for j in range(10 ** 7):
+        # 1/(e^x - eta) and its alpha-derivative from u = e^(-x)
+        occ = u / (one + u if fermion else one - u)
+        s_n += occ
+        s_dn += occ * (one - occ if fermion else one + occ)
+        u_next = u * lattice.ratio(j)
+        if u < u_cut:
+            y = lattice.y0 + m * j
+            if m == 1:
+                if alpha + b * (y * y) >= 1 and \
+                        2 * (u_next + ealpha / sqrt_b * lattice.gauss(j)) < eps:
+                    return s_n, -s_dn
+            elif _cut(table, lattice, alpha, ealpha, j, y, y * y, u, u_next, eps):
+                break
+        u = u_next
+    else:
+        raise PrecisionExhausted("level sum did not truncate below the target")
+    origin_n, origin_dn = _origin_terms(table, ealpha, m)
+    return origin_n + m * s_n, origin_dn - m * s_dn
+
+
+def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
+    """All level sums and their tail bounds over the points of stride ``m``
+    (by default :meth:`_LevelTable.stride`); ``table`` carries the
+    alpha-independent work of the solve from call to call.  m = 1 sums
+    every level y = n - tau.  m >= 2 sums m F(y) at y = m, 2m, ... and adds
+    (m - sigma) F(0)/2; its tails add :meth:`_LevelTable.aliasing` to the
+    truncation bounds of :func:`_cut`, which take half the target.
+    """
+    if m is None:
+        m = table.stride(alpha)
+    lattice = table.lattice(m)
+    one, fermion = mpf(1), table.eta < 0
+    eps = table.eps if m == 1 else table.eps / 2
+    u_cut = eps / 4 / m  # a necessary condition of the cut
+    u = mp.exp(-(alpha + lattice.b_y0))
+    s_n = s_dn = s_f = s_df = mpf(0)
+    y = lattice.y0
+    ealpha = mp.exp(-alpha)
+    for j in range(10 ** 7):
+        en = y * y
+        occ = u / (one + u if fermion else one - u)
+        docc = occ * (one - occ if fermion else one + occ)
         s_n += occ
         s_dn += docc
         s_f += en * occ
         s_df += en * docc
-        u_next = u * table.ratio(n)
-        # tail bounds need N_m <= 2 e^{-x_m} (x >= ln 2) and a decreasing
-        # force integrand (b e_m >= 2); the cheap precheck avoids computing
-        # the closed-form bounds every iteration
-        if u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2:
-            e_next = (n + 1 - tau) ** 2
-            y1 = sqrt_b * (n + 1 - tau)
-            g0 = table.gauss(n)
-            g2 = y1 / 2 * mp.exp(-y1 * y1) + g0 / 2
-            tail_n = 2 * (u_next + ealpha / sqrt_b * g0)
-            tail_f = 2 * (e_next * u_next + ealpha / (b * sqrt_b) * g2)
-            if tail_n < eps and tail_f < eps:
-                return _LevelSums(s_n, -s_dn, s_f, -s_df,
-                                  tail_n, 2 * tail_n, tail_f, 2 * tail_f,
-                                  n, "direct")
-        if n > 10 ** 7:
-            raise PrecisionExhausted("level sum did not truncate below the target")
+        u_next = u * lattice.ratio(j)
+        tails = u < u_cut and _cut(table, lattice, alpha, ealpha, j, y, en, u, u_next, eps)
+        if tails:
+            break
         u = u_next
-        n += 1
-
-
-def _level_sums_series(table: _LevelTable, alpha: mpf) -> _LevelSums:
-    eta, tau, sigma, b, eps = table.eta, table.tau, table.sigma, table.b, table.eps
-    q = mp.exp(-alpha)
-    s_n = mpf(0)
-    s_dn = mpf(0)
-    s_f = mpf(0)
-    s_df = mpf(0)
-    acc_n = mpf(0)
-    acc_dn = mpf(0)
-    acc_f = mpf(0)
-    acc_df = mpf(0)
-    k = 1
-    qk = q
-    while True:
-        th0, e0 = table.theta0(k)
-        th1, e1 = _theta1(k * b, tau, sigma, eps / 16)
-        sign = eta ** (k - 1)
-        s_n += sign * qk * th0
-        s_dn += sign * (-k) * qk * th0
-        s_f += sign * qk * th1
-        s_df += sign * (-k) * qk * th1
-        acc_n += qk * e0
-        acc_dn += k * qk * e0
-        acc_f += qk * e1
-        acc_df += k * qk * e1
-        # Theta decreases in beta, so the remaining terms are dominated by
-        # geometric series in q; the k-weighted tail has the closed form
-        # sum_{j>k} j q^j = q^{k+1} ((k+1) - k q) / (1-q)^2
-        nxt = qk * q
-        tail_n = nxt * th0 / (1 - q)
-        tail_f = nxt * th1 / (1 - q)
-        jq = nxt * ((k + 1) - k * q) / (1 - q) ** 2
-        if tail_n + tail_f + jq * (th0 + th1) < eps / 2:
-            return _LevelSums(s_n, s_dn, s_f, s_df,
-                              tail_n + acc_n, jq * th0 + acc_dn,
-                              tail_f + acc_f, jq * th1 + acc_df,
-                              k, "series")
-        qk = nxt
-        k += 1
-        if k > 100000:
-            raise PrecisionExhausted("fugacity series did not truncate")
-
-
-def _number_sums_direct(table: _LevelTable, alpha: mpf):
-    # the loop of _level_sums_direct without the force accumulators; the
-    # number tail needs N_m <= 2 e^{-x_m} (x >= ln 2) only
-    eta, eps, sqrt_b = table.eta, table.eps, table.sqrt_b
-    quarter_eps = eps / 4
-    u = mp.exp(-(alpha + table.b_e1))
-    s_n = mpf(0)
-    s_dn = mpf(0)
-    n = 1
-    ealpha = mp.exp(-alpha)
-    while True:
-        occ = u / (1 - eta * u)
-        s_n += occ
-        s_dn += occ * (1 + eta * occ)
-        u_next = u * table.ratio(n)
-        if u < quarter_eps and alpha + table.b * (n - table.tau) ** 2 >= 1:
-            if 2 * (u_next + ealpha / sqrt_b * table.gauss(n)) < eps:
-                return s_n, -s_dn
-        if n > 10 ** 7:
-            raise PrecisionExhausted("level sum did not truncate below the target")
-        u = u_next
-        n += 1
-
-
-def _number_sums_series(table: _LevelTable, alpha: mpf):
-    # the fugacity series of _level_sums_series without the Theta_1 terms
-    eta, half_eps = table.eta, table.eps / 2
-    q = mp.exp(-alpha)
-    r = 1 / (1 - q)
-    r2 = r * r
-    s_n = mpf(0)
-    s_dn = mpf(0)
-    k = 1
-    qk = q
-    while True:
-        th0, _ = table.theta0(k)
-        term = eta ** (k - 1) * qk * th0
-        s_n += term
-        s_dn -= k * term
-        nxt = qk * q
-        # the number and k-weighted tails, as in _level_sums_series
-        if nxt * th0 * (r + ((k + 1) - k * q) * r2) < half_eps:
-            return s_n, s_dn
-        qk = nxt
-        k += 1
-        if k > 100000:
-            raise PrecisionExhausted("fugacity series did not truncate")
-
-
-def _on_series_route(alpha: mpf, b: mpf) -> bool:
-    return b <= _SERIES_MAX_B and alpha >= _SERIES_MIN_ALPHA
-
-
-def _number_sums(table: _LevelTable, alpha: mpf):
-    """(sum_n N_n, its alpha-derivative), each within ``table.eps`` of the
-    full sums.
-
-    The constraint iteration needs only these; the route and the truncation
-    rules are those of :func:`_level_sums`.  ``table`` carries the
-    alpha-independent work of the solve from call to call.
-    """
-    if _on_series_route(alpha, table.b):
-        return _number_sums_series(table, alpha)
-    return _number_sums_direct(table, alpha)
-
-
-def _level_sums(table: _LevelTable, alpha: mpf) -> _LevelSums:
-    """All level sums and their tail bounds; ``table`` as for :func:`_number_sums`."""
-    if _on_series_route(alpha, table.b):
-        return _level_sums_series(table, alpha)
-    return _level_sums_direct(table, alpha)
+        y += m
+    else:
+        raise PrecisionExhausted("level sum did not truncate below the target")
+    tail_n, tail_f = tails
+    if m == 1:
+        return _LevelSums(s_n, -s_dn, s_f, -s_df,
+                          tail_n, 2 * tail_n, tail_f, 2 * tail_f, j + 1, 1)
+    a_n, a_dn, a_f, a_df = table.aliasing(alpha, m)
+    origin_n, origin_dn = _origin_terms(table, ealpha, m)
+    return _LevelSums(origin_n + m * s_n, origin_dn - m * s_dn, m * s_f, -m * s_df,
+                      tail_n + a_n, 2 * tail_n + a_dn, tail_f + a_f, 2 * tail_f + a_df,
+                      j + 1, m)
 
 
 def _filled_levels_window(side: WellSide, N: int, b: mpf) -> tuple:
@@ -480,7 +453,7 @@ def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
     """
     b, tau, e1, w = table.b, table.tau, as_mpf(side.e1), table.w1
     # Theta_0 >= w, so its truncation error is a relative one
-    theta, _ = table.theta0(1)
+    theta, _ = table.theta0()
     rel = mpf(10) ** (4 - mp.dps)
     theta_lo, theta_hi = theta * (1 - rel), theta * (1 + rel)
     classical = theta_lo > N * w

@@ -237,27 +237,31 @@ def test_criterion_10_equilibrium():
 def _direct_sums(eta, tau, alpha, b):
     """(number, dnumber, force, dforce) summed level by level at 70 digits.
 
+    The weights u_n = e^(-x_n) follow from u_(n+1) = u_n e^(-b (2 n + 1 -
+    2 tau)), whose rounding over 10^4 levels stays near 1e-65 relative.
     Stops on the decreasing flank (x_n > 2, b e_n > 2) once e_n e^(-x_n) is
-    below 1e-50; the dropped terms then fall at least geometrically, by
-    e^(-sqrt(2 b)) or faster, which leaves them far below the 1e-35
-    comparison slack.  ``eta = 0`` at ``alpha = 0`` gives Theta_0(b) as the
-    number and Theta_1(b) as the force.
+    below 1e-50; the dropped terms then fall at least geometrically, which
+    leaves them far below the 1e-35 comparison slack.  ``eta = 0`` at
+    ``alpha = 0`` gives Theta_0(b) as the number.
     """
     with mp.workdps(70):
         number = dnumber = force = dforce = mpf(0)
+        u = mp.exp(-alpha - b * (1 - tau) ** 2)
+        ratio, shrink = mp.exp(-b * (3 - 2 * tau)), mp.exp(-2 * b)
+        tiny = mpf("1e-50")
         n = 1
         while True:
             en = (n - tau) ** 2
-            x = alpha + b * en
-            u = mp.exp(-x)
             occ = u / (1 - eta * u)
             docc = occ * (1 + eta * occ)
             number += occ
             dnumber -= docc
             force += en * occ
             dforce -= en * docc
-            if x > 2 and b * en > 2 and en * u < mpf("1e-50"):
+            if en * u < tiny and alpha + b * en > 2 and b * en > 2:
                 return number, dnumber, force, dforce
+            u *= ratio
+            ratio *= shrink
             n += 1
 
 
@@ -268,11 +272,11 @@ def _within_tail(value, tail, brute):
 def test_criterion_11_tail_bound_soundness():
     """Every certified sum of the oracle contains the full sum.
 
-    The four level sums of both routes (Gaussian tails on the direct route;
-    geometric and k-weighted geometric tails of the fugacity series, q up to
-    e^(-1/2); e_n-weighted sums in force and dforce) and Theta_0, Theta_1 on
-    both branches (beta below and above 1.5), each against a 70-digit
-    level-by-level sum: |value - brute| <= tail + 1e-35 max(1, |brute|).
+    The four level sums (number, dnumber, and the e_n-weighted force and
+    dforce) on stride 1, with Gaussian tails, and on strides m >= 2, whose
+    tails add the aliasing bounds, and Theta_0 on both branches (beta below
+    and above 1.5), each against a 70-digit level-by-level sum:
+    |value - brute| <= tail + 1e-35 max(1, |brute|).
     """
     rng = random.Random(20260809)
 
@@ -280,15 +284,15 @@ def test_criterion_11_tail_bound_soundness():
         side = rng.choice((W_MINUS, W_PLUS))
         return side, as_mpf(side.tau), mpf(10) ** rng.uniform(-22, -10)
 
-    routes = {"direct": 0, "series": 0}
+    strides = {"1": 0, ">=2": 0}
     with mp.workdps(DEFAULT_POLICY.dps):
         for i in range(1000):
             stat = rng.choice((BOSON, FERMION))
             side, tau, eps = draw_side()
-            if i % 2:  # fugacity series
-                b = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(0.5))
-                alpha = mpf(rng.uniform(0.5, 8))
-            else:  # direct summation
+            if i % 2:  # small b and alpha > 0: strides above 1
+                b = mpf(10) ** rng.uniform(-3.5, -2)
+                alpha = mpf(10) ** rng.uniform(-0.5, 1.1)
+            else:  # every level
                 b = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(30))
                 top = 8 if b > 0.5 else 0.5
                 if stat.is_boson:  # from just above the pole
@@ -297,12 +301,12 @@ def test_criterion_11_tail_bound_soundness():
                 else:
                     alpha = mpf(rng.uniform(-40, top))
             sums = oracle._level_sums(oracle._LevelTable(stat, side, b, eps), alpha)
-            routes[sums.route] += 1
+            strides["1" if sums.stride == 1 else ">=2"] += 1
             brute = _direct_sums(stat.eta, tau, alpha, b)
             for name, value, tail, exact in zip(
                     ("number", "dnumber", "force", "dforce"), sums[:4], sums[4:8], brute):
                 assert _within_tail(value, tail, exact), \
-                    f"instance {i} ({sums.route}): {name} beyond its tail bound"
+                    f"instance {i} (stride {sums.stride}): {name} beyond its tail bound"
         for i in range(200):
             side, tau, eps = draw_side()
             if i % 2:  # direct branch
@@ -310,14 +314,11 @@ def test_criterion_11_tail_bound_soundness():
             else:  # Poisson branch
                 beta = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(1.5))
                 beta = min(beta, mpf(1.5) - mpf("1e-3"))
-            brute = _direct_sums(0, tau, 0, beta)
-            for name, theta, exact in (("Theta_0", oracle._theta0, brute[0]),
-                                       ("Theta_1", oracle._theta1, brute[2])):
-                value, err = theta(beta, tau, side.sigma, eps)
-                assert _within_tail(value, err, exact), \
-                    f"theta pair {i}: {name}(beta={mp.nstr(beta, 6)}) beyond its error"
-    check("11", "certified level sums and theta sums contain the 70-digit sums",
-          f"routes={routes}, 200 theta pairs", min(routes.values()) >= 300)
+            value, err = oracle._theta0(beta, tau, side.sigma, eps)
+            assert _within_tail(value, err, _direct_sums(0, tau, 0, beta)[0]), \
+                f"theta pair {i}: Theta_0(beta={mp.nstr(beta, 6)}) beyond its error"
+    check("11", "certified level sums and Theta_0 contain the 70-digit sums",
+          f"strides={strides}, 200 Theta_0 sums", min(strides.values()) >= 300)
 
 
 def test_criterion_11_constraint_residuals():

@@ -303,6 +303,31 @@ class TestExitCodes:
         out = tmp_path / "missing" / "curve.csv"
         assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot open output file")
+        assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot open output file")
+
+    def test_failed_run_keeps_existing_out(self, tmp_path, monkeypatch):
+        # a usage error raised after the output is opened (exit 2) and a
+        # numeric failure (exit 3) leave an earlier file and nothing else
+        out = tmp_path / "f.csv"
+        out.write_bytes(b"t,delta_f\n1,2\n")
+        assert run_cli(["compare", "--N", "2", "--t", "1:2:2:log",
+                        "--approx", "nosuch", "--out", str(out)]) == 2
+
+        def fail(stat, N, t, policy):
+            raise MaxIterations("injected")
+
+        monkeypatch.setattr(oracle, "net_force", fail)
+        assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--out", str(out)]) == 3
+        assert out.read_bytes() == b"t,delta_f\n1,2\n"
+        assert os.listdir(tmp_path) == ["f.csv"]
+
+    def test_successful_run_replaces_out(self, tmp_path):
+        out = tmp_path / "f.csv"
+        out.write_bytes(b"old\n")
+        assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--out", str(out)]) == 0
+        assert out.read_text().startswith("t,")
+        assert os.listdir(tmp_path) == ["f.csv"]
 
     @pytest.mark.parametrize("exc", [MaxIterations, PrecisionExhausted,
                                      NoSignChange, NonConvergent])

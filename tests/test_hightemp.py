@@ -4,7 +4,7 @@ from mpmath import mp, mpf
 from partition_well.hightemp import fugacity_expansion, net_force_asymptote
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
 from partition_well.numerics import DEFAULT_POLICY
-from partition_well.oracle import _theta0, _theta1, net_force, solve_alpha
+from partition_well.oracle import _theta0, net_force, solve_alpha
 
 EPS = mpf("1e-30")
 
@@ -102,12 +102,25 @@ class TestAsymptote:
 
 
 def test_leading_force_term_cancels_between_sides():
-    # with the side-independent order-1 fugacity, the k=1 series term of the
-    # force, q Theta_1(b), is identical for the two sides and drops out of
-    # the difference
+    # with the side-independent order-1 fugacity, the k=1 fugacity term of
+    # the force, q Theta_1(b) with Theta_1(b) = sum_n e_n e^(-b e_n), is
+    # identical for the two sides and drops out of the difference
     with mp.workdps(DEFAULT_POLICY.dps):
         b = mpf("1e-5")
         q1 = fugacity_expansion(BOSON, W_PLUS, 100, b, 1).q_value
-        plus = q1 * _theta1(b, as_mpf(W_PLUS.tau), W_PLUS.sigma, EPS)[0]
-        minus = q1 * _theta1(b, as_mpf(W_MINUS.tau), W_MINUS.sigma, EPS)[0]
+
+        def theta1(side):
+            # level by level, until the terms on the decreasing flank fall
+            # below 1e-45 of the sum
+            tau = as_mpf(side.tau)
+            total, n = mpf(0), 1
+            while True:
+                en = (n - tau) ** 2
+                term = en * mp.exp(-b * en)
+                total += term
+                if b * en > 2 and term < total * mpf("1e-45"):
+                    return total
+                n += 1
+
+        plus, minus = q1 * theta1(W_PLUS), q1 * theta1(W_MINUS)
         assert abs(plus - minus) / plus < mpf("1e-25")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -335,14 +336,14 @@ class TestRootCounters:
 
     @staticmethod
     def _count(monkeypatch):
-        """Wrap the root finder and the level sums; returns (evals, calls,
-        series) lists with one entry per solve."""
-        evals, calls, series = [], [], []
+        """Wrap the root finder, the number sums and the stride choice;
+        returns (evals, calls, strides): one entry per solve in the first
+        two, one per chosen stride in the last."""
+        evals, calls, strides = [], [], []
         pending = {"calls": 0}
         solve = oracle.find_root_bracketed
         number_sums = oracle._number_sums
-        number_sums_series = oracle._number_sums_series
-        level_sums_series = oracle._level_sums_series
+        stride = oracle._LevelTable.stride
 
         def counting_solve(*args, **kwargs):
             result = solve(*args, **kwargs)
@@ -356,19 +357,14 @@ class TestRootCounters:
             pending["calls"] += 1
             return number_sums(*args, **kwargs)
 
-        def counting_series(real):
-            def wrapped(*args, **kwargs):
-                series.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapped
+        def recording_stride(table, alpha):
+            strides.append(stride(table, alpha))
+            return strides[-1]
 
         monkeypatch.setattr(oracle, "find_root_bracketed", counting_solve)
         monkeypatch.setattr(oracle, "_number_sums", counting_sums)
-        monkeypatch.setattr(oracle, "_number_sums_series",
-                            counting_series(number_sums_series))
-        monkeypatch.setattr(oracle, "_level_sums_series",
-                            counting_series(level_sums_series))
-        return evals, calls, series
+        monkeypatch.setattr(oracle._LevelTable, "stride", recording_stride)
+        return evals, calls, strides
 
     @pytest.mark.parametrize("stat,N,t,counts", [
         (BOSON, 100, "55", dict(evals=[8, 8], calls=[8, 8])),
@@ -383,17 +379,17 @@ class TestRootCounters:
         assert calls == counts["calls"]
 
     @pytest.mark.parametrize("stat,N", [(BOSON, 6), (FERMION, 3)])
-    def test_medium_regime_stays_off_the_series_route(self, monkeypatch, stat, N):
-        # b = 1/5 is below the route switch at 1/2, but the roots lie below
-        # alpha = 1/2 and so must every bracket end
-        _, calls, series = self._count(monkeypatch)
+    def test_medium_regime_keeps_stride_one(self, monkeypatch, stat, N):
+        # at b = 1/5 the strip around the real axis is too narrow for a
+        # stride above 1, on either side of alpha = 0
+        _, calls, strides = self._count(monkeypatch)
         net_force(stat, N, mpf(5))
         assert len(calls) == 2 and all(calls)
-        assert series == []
+        assert strides and set(strides) == {1}
 
-    def test_theta0_once_per_fugacity_index(self, monkeypatch):
-        # the series cell boson N=100, t=1e7: the closed-form ends, every
-        # Newton step and the final level sums share one Theta_0(k b) per k
+    def test_theta0_once_per_solve(self, monkeypatch):
+        # boson N=100, t=1e7, on strides far above 1: the closed-form ends
+        # read the solve's one Theta_0(b), and no level sum calls _theta0
         solves, calls = [], []
         theta0, solve_at = oracle._theta0, oracle._solve_side_at
 
@@ -404,16 +400,16 @@ class TestRootCounters:
         def counting_solve_at(stat, side, N, t, policy):
             calls.clear()
             result = solve_at(stat, side, N, t, policy)
-            with mp.workdps(policy.dps):
-                solves.append([int(mp.nint(beta * t)) for beta in calls])
+            solves.append(list(calls))
             return result
 
         monkeypatch.setattr(oracle, "_theta0", counting_theta0)
         monkeypatch.setattr(oracle, "_solve_side_at", counting_solve_at)
+        _, _, strides = self._count(monkeypatch)
         net_force(BOSON, 100, mpf("1e7"))
         assert len(solves) == 2
-        for ks in solves:
-            assert ks == list(range(1, len(ks) + 1)) and len(ks) > 1
+        assert [len(betas) for betas in solves] == [1, 1]
+        assert min(strides) > 100
 
     def test_boltzmann_upper_end_of_a_sharp_step(self):
         # fermion N=1 at t=0.01: the Boltzmann upper end log(Theta_0/N) lies
@@ -433,7 +429,7 @@ class TestRootCounters:
                     return number - 1, dnumber
 
                 res = oracle.find_root_bracketed(
-                    g, centre - width, mp.log(table.theta0(1)[0]), policy,
+                    g, centre - width, mp.log(table.theta0()[0]), policy,
                     derivative=True)
                 assert abs(res.residual) <= policy.target_abs_error
                 assert res.evaluations <= 16
@@ -475,54 +471,88 @@ class TestClosedFormEnds:
 
 class TestNumberSums:
     """The number-only sums the constraint iteration runs on agree with the
-    full level sums.  They do not depend on N, which enters the constraint
-    only as an offset."""
+    full level sums, and the strided sums with the level-by-level ones.
+    They do not depend on N, which enters the constraint only as an
+    offset."""
 
     EPS = mpf("1e-14")
 
     def _table(self, stat, side, b):
         return oracle._LevelTable(stat, side, b, self.EPS)
 
-    @settings(max_examples=60, deadline=None)
-    @given(stat=st.sampled_from([BOSON, FERMION]),
-           side=st.sampled_from([W_MINUS, W_PLUS]),
-           t=st.one_of(st.floats(0.01, 3), st.floats(3, 1e4)),
-           alpha=st.floats(-3, 6))
-    # both sides of the route switch at b = 1/2 and alpha = 1/2
-    @example(stat=BOSON, side=W_MINUS, t=2.0, alpha=0.5)
-    @example(stat=FERMION, side=W_PLUS, t=2.0, alpha=0.4999)
-    @example(stat=BOSON, side=W_PLUS, t=1.999, alpha=0.5)
-    @example(stat=FERMION, side=W_MINUS, t=2.001, alpha=0.5001)
-    def test_match_full_level_sums(self, stat, side, t, alpha):
-        with mp.workdps(30 + GUARD_DIGITS):
-            b = 1 / mpf(t)
-            alpha = mpf(alpha)
-            if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
-                alpha = -b * as_mpf(side.e1) + mpf("0.01")
-            number, dnumber = oracle._number_sums(self._table(stat, side, b), alpha)
-            full = oracle._level_sums(self._table(stat, side, b), alpha)
-            # each is within its truncation target of the untruncated sums:
-            # eps for the number, 2 eps for its derivative
-            assert abs(number - full.number) <= 2 * self.EPS
-            assert abs(dnumber - full.dnumber) <= 4 * self.EPS
+    @staticmethod
+    def _above_pole(stat, side, b, alpha):
+        alpha = mpf(alpha)
+        if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
+            alpha = -b * as_mpf(side.e1) + mpf("0.01")
+        return alpha
 
     @settings(max_examples=60, deadline=None)
     @given(stat=st.sampled_from([BOSON, FERMION]),
            side=st.sampled_from([W_MINUS, W_PLUS]),
            t=st.one_of(st.floats(0.01, 3), st.floats(3, 1e4)),
            alpha=st.floats(-3, 6))
-    @example(stat=BOSON, side=W_MINUS, t=2.0, alpha=0.5)
-    @example(stat=FERMION, side=W_PLUS, t=2.0, alpha=0.4999)
-    @example(stat=BOSON, side=W_PLUS, t=1.999, alpha=0.5)
-    @example(stat=FERMION, side=W_MINUS, t=2.001, alpha=0.5001)
+    # both sides of the switch from stride 1 to stride 2
+    @example(stat=BOSON, side=W_MINUS, t=1000.0, alpha=0.2809)
+    @example(stat=FERMION, side=W_PLUS, t=1000.0, alpha=0.2810)
+    @example(stat=BOSON, side=W_PLUS, t=300.0, alpha=0.8146)
+    @example(stat=FERMION, side=W_MINUS, t=300.0, alpha=0.8147)
+    # alpha just above 0, where the strip has no width
+    @example(stat=BOSON, side=W_MINUS, t=1.0, alpha=5e-324)
+    def test_match_full_level_sums(self, stat, side, t, alpha):
+        with mp.workdps(30 + GUARD_DIGITS):
+            b = 1 / mpf(t)
+            alpha = self._above_pole(stat, side, b, alpha)
+            number, dnumber = oracle._number_sums(self._table(stat, side, b), alpha)
+            full = oracle._level_sums(self._table(stat, side, b), alpha)
+            # each is within its truncation target of the untruncated sums:
+            # eps for the number, 2 eps for its derivative
+            assert abs(number - full.number) <= 2 * self.EPS
+            assert abs(dnumber - full.dnumber) <= 4 * self.EPS
+            if full.stride > 1:
+                # strided number sums stop where the full sums do
+                assert (number, dnumber) == (full.number, full.dnumber)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stat=st.sampled_from([BOSON, FERMION]),
+           side=st.sampled_from([W_MINUS, W_PLUS]),
+           log10_t=st.floats(2, 6),
+           alpha=st.floats(0.01, 12))
+    @example(stat=BOSON, side=W_MINUS, log10_t=3.0, alpha=0.2809)
+    @example(stat=FERMION, side=W_PLUS, log10_t=3.0, alpha=0.2810)
+    @example(stat=BOSON, side=W_PLUS, log10_t=math.log10(300), alpha=0.8146)
+    @example(stat=FERMION, side=W_MINUS, log10_t=math.log10(300), alpha=0.8147)
+    def test_chosen_stride_matches_stride_one(self, stat, side, log10_t, alpha):
+        # the same four sums over every level and over the chosen stride
+        # differ by no more than their two tails together
+        with mp.workdps(30 + GUARD_DIGITS):
+            b = 1 / mpf(10) ** log10_t
+            alpha = mpf(alpha)
+            table = self._table(stat, side, b)
+            chosen = oracle._level_sums(table, alpha)
+            every = oracle._level_sums(table, alpha, 1)
+            assert chosen.stride == table.stride(alpha) and every.stride == 1
+            for k in range(4):
+                assert abs(chosen[k] - every[k]) <= chosen[4 + k] + every[4 + k]
+            number, dnumber = oracle._number_sums(table, alpha)
+            assert abs(number - every.number) <= 2 * self.EPS
+            assert abs(dnumber - every.dnumber) <= 4 * self.EPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(stat=st.sampled_from([BOSON, FERMION]),
+           side=st.sampled_from([W_MINUS, W_PLUS]),
+           t=st.one_of(st.floats(0.01, 3), st.floats(3, 1e4)),
+           alpha=st.floats(-3, 6))
+    @example(stat=BOSON, side=W_MINUS, t=1000.0, alpha=0.2809)
+    @example(stat=FERMION, side=W_PLUS, t=1000.0, alpha=0.2810)
+    @example(stat=BOSON, side=W_PLUS, t=300.0, alpha=0.8146)
+    @example(stat=FERMION, side=W_MINUS, t=300.0, alpha=0.8147)
     def test_level_table_changes_no_sum(self, stat, side, t, alpha):
-        # a table that earlier calls have extended, on both routes and to
+        # a table that earlier calls have extended, on other strides and to
         # other depths, gives the sums of a fresh call
         with mp.workdps(30 + GUARD_DIGITS):
             b = 1 / mpf(t)
-            alpha = mpf(alpha)
-            if stat.is_boson and not alpha + b * as_mpf(side.e1) > mpf("0.01"):
-                alpha = -b * as_mpf(side.e1) + mpf("0.01")
+            alpha = self._above_pole(stat, side, b, alpha)
             table = self._table(stat, side, b)
             for other in (alpha + 1, alpha + 3, max(alpha - 1, alpha / 2)):
                 oracle._number_sums(table, other)
@@ -531,7 +561,7 @@ class TestNumberSums:
                 tabled = sums(table, alpha)
                 assert abs(tabled[0] - plain[0]) <= 2 * self.EPS
                 assert abs(tabled[1] - plain[1]) <= 4 * self.EPS
-            assert tabled.route == plain.route and tabled.terms == plain.terms
+            assert tabled.stride == plain.stride and tabled.terms == plain.terms
 
 
 def test_delta_f_within_bound_of_60_digit_sum():
