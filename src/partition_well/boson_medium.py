@@ -240,20 +240,11 @@ def quadratic_approximant(variant: str = "improved"):
         return a2, center, minimum
 
 
+@lru_cache(maxsize=None)
 def _bose_defect_series_terms(nterms: int = 14):
     """Coefficients c_k of 1/(e^z - 1) - 1/z = -1/2 + sum_k c_k z^{2k-1}."""
     with mp.workdps(DEFAULT_POLICY.dps + 10):
-        return [mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, nterms + 1)]
-
-
-_DEFECT_COEFFS = None
-
-
-def _defect_coeffs():
-    global _DEFECT_COEFFS
-    if _DEFECT_COEFFS is None:
-        _DEFECT_COEFFS = _bose_defect_series_terms()
-    return _DEFECT_COEFFS
+        return tuple(mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, nterms + 1))
 
 
 def occupancy_defect_integrand(y) -> mpf:
@@ -266,7 +257,7 @@ def occupancy_defect_integrand(y) -> mpf:
     if z < mpf("0.5"):
         s = -mpf(1) / 2
         zp = z
-        for c in _defect_coeffs():
+        for c in _bose_defect_series_terms():
             s += c * zp
             zp *= z * z
         return s
@@ -282,7 +273,7 @@ def occupancy_defect_slope_integrand(y) -> mpf:
     if z < mpf("0.5"):
         s = mpf(0)
         zp = mpf(1)
-        for k, c in enumerate(_defect_coeffs(), start=1):
+        for k, c in enumerate(_bose_defect_series_terms(), start=1):
             s += (2 * k - 1) * c * zp
             zp *= z * z
         return s

@@ -86,17 +86,21 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
     if not t > 0:
         raise ValueError("t must be positive")
     with mp.workdps(policy.dps):
-        def sides(xi):
-            f_m, _ = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2, policy)
-            f_p, _ = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2, policy)
-            return f_m / (1 + xi) ** 3, f_p / (1 - xi) ** 3
+        memo: dict = {}
 
-        scale_m, scale_p = sides(mpf(0))
-        scale = scale_m + scale_p
+        def forces(xi):
+            # the bracket ends are also the root finder's end points
+            if xi not in memo:
+                f_m, _ = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2, policy)
+                f_p, _ = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2, policy)
+                memo[xi] = f_m, f_p
+            return memo[xi]
+
+        scale = sum(forces(mpf(0)))
 
         def balance(xi):
-            m, p = sides(xi)
-            return (m - p) / scale
+            f_m, f_p = forces(xi)
+            return (f_m / (1 + xi) ** 3 - f_p / (1 - xi) ** 3) / scale
 
         lo = mpf(0)  # balance(0) = delta_f / scale > 0
         hi = mpf("0.5")
@@ -107,10 +111,8 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
                 raise oracle.BracketFailure("no force balance found below xi = 1")
         root_policy = policy if policy.target_abs_error <= 1e-7 \
             else replace(policy, target_abs_error=1e-8)
-        res = find_root_bracketed(balance, lo, hi, root_policy)
-        xi = res.root
-        f_m, _ = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2, policy)
-        f_p, _ = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2, policy)
+        xi = find_root_bracketed(balance, lo, hi, root_policy).root
+        f_m, f_p = forces(xi)
         return ShiftResult(xi, (f_m / f_p) ** (mpf(1) / 3), t, "finite_t_solve")
 
 

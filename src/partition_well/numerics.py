@@ -6,8 +6,8 @@ The level sums and their certified tails live in :mod:`.oracle`; the tools
 here supply the rest:
 
 * :func:`find_root_bracketed` - deterministic bracketed root finder:
-  a bisection/secant hybrid, or safeguarded Newton when the function also
-  returns its derivative.
+  safeguarded Newton, with the function's derivative when it returns one
+  and a secant slope otherwise.
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used whenever a dropped sum is replaced by an integral.
 * :func:`quad_semi_infinite` - adaptive quadrature on [0, inf).
@@ -117,13 +117,14 @@ def find_root_bracketed(func: Callable, lo, hi,
                         derivative: bool = False) -> RootResult:
     """Solve func(x) = 0 on a sign-changing bracket [lo, hi].
 
-    Without ``derivative``, bisection narrows the bracket first; afterwards
-    guarded secant steps are taken, falling back to bisection whenever the
-    secant candidate leaves the bracket or progress stalls.
+    Safeguarded Newton steps are taken inside the bracket (``rtsafe``,
+    Numerical Recipes 9.4).  With ``derivative``, ``func`` returns
+    ``(g, g')`` and the step uses g'; without it, ``func`` returns g and the
+    step uses the secant slope through the last two iterates, starting from
+    the chord between the bracket ends (the derivative-free form of the
+    same iteration; Brent 1973, ch. 4).
 
-    With ``derivative``, ``func`` returns ``(g, g')`` and safeguarded Newton
-    steps are taken inside the bracket (``rtsafe``, Numerical Recipes 9.4):
-    a step that leaves the bracket, a step after one that failed to halve
+    A step that leaves the bracket, a step after one that failed to halve
     |g|, and, from the third step on, a step not smaller than half the step
     before last are replaced by bisection.  The last test keeps Newton from
     crawling along the flank of a sigmoid, where each step moves about as
@@ -135,8 +136,8 @@ def find_root_bracketed(func: Callable, lo, hi,
     returned with the larger |g| at the two ends as residual (a bound for
     monotone g).
 
-    Both modes terminate once the residual is below ``target_abs_error`` and
-    the bracket width is below ``max(target_abs_error, |root| *
+    The search terminates once the residual is below ``target_abs_error``
+    and the bracket width is below ``max(target_abs_error, |root| *
     target_rel_error)``.  Every call of ``func`` counts in ``evaluations``
     and against ``max_iterations``.
 
@@ -151,6 +152,7 @@ def find_root_bracketed(func: Callable, lo, hi,
             fb, db = map(mpf, func(b))
         else:
             fa, fb = mpf(func(a)), mpf(func(b))
+            da = db = (fb - fa) / (b - a)
         evals = 2
         ftol = mpf(policy.target_abs_error)
         if fa == 0:
@@ -164,79 +166,44 @@ def find_root_bracketed(func: Callable, lo, hi,
         def xtol(x):
             return max(ftol, abs(x) * mpf(policy.target_rel_error))
 
-        def done(x, fx):
-            return abs(fx) <= ftol and (b - a) <= xtol(x)
-
-        if derivative:
-            x, fx, dfx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
-            bisect = False
-            dx = dx_old = mp.inf  # the last step and the one before
-            while evals < policy.max_iterations:
-                if done(x, fx):
-                    return RootResult(x, fx, b - a, evals)
-                step = fx / dfx if dfx != 0 else None
-                probe = newton = False
-                if (step is not None and abs(fx) <= ftol and 2 * abs(step) <= xtol(x)
-                        and a < x - 2 * step < b):
-                    nxt, probe = x - 2 * step, True
-                elif (step is not None and not bisect and 2 * abs(step) < dx_old
-                        and a < x - step < b):
-                    nxt, newton = x - step, True
-                else:
-                    nxt = (a + b) / 2
-                    if not a < nxt < b:  # bracket collapsed to adjacent floats
-                        return RootResult(x, fx, b - a, evals)
-                dx, dx_old = abs(nxt - x), dx
-                fn, dfn = map(mpf, func(nxt))
-                evals += 1
-                if fn == 0:
-                    return RootResult(nxt, fn, mpf(0), evals)
-                if probe and mp.sign(fn) != mp.sign(fx) and abs(fn) <= ftol:
-                    return RootResult(x - step, max(abs(fx), abs(fn)), 2 * abs(step), evals)
-                bisect = newton and abs(fn) > abs(fx) / 2
-                if mp.sign(fn) == mp.sign(fa):
-                    a, fa = nxt, fn
-                else:
-                    b, fb = nxt, fn
-                x, fx, dfx = nxt, fn, dfn
-            raise MaxIterations(
-                f"no root to tolerance {policy.target_abs_error} within "
-                f"{policy.max_iterations} evaluations (best residual {mp.nstr(fx, 6)})")
-
-        # keep the orientation fa > 0 > fb implicit via sign comparisons
-        best_x, best_f = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        prev_x, prev_f = (b, fb) if abs(fa) < abs(fb) else (a, fa)
-        bisect_left = 6  # initial pure-bisection steps to a safe width
-
+        x, fx, dfx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
+        bisect = False
+        dx = dx_old = mp.inf  # the last step and the one before
         while evals < policy.max_iterations:
-            if done(best_x, best_f):
-                return RootResult(best_x, best_f, b - a, evals)
-            x = None
-            if bisect_left <= 0 and prev_f != best_f:
-                cand = best_x - best_f * (best_x - prev_x) / (best_f - prev_f)
-                if a < cand < b and cand not in (best_x, prev_x):
-                    x = cand
-            if x is None:
-                x = (a + b) / 2
-                if not a < x < b:  # bracket collapsed to adjacent floats
-                    return RootResult(best_x, best_f, b - a, evals)
-            bisect_left -= 1
-            fx = mpf(func(x))
-            evals += 1
-            if fx == 0:
-                return RootResult(x, fx, mpf(0), evals)
-            if mp.sign(fx) == mp.sign(fa):
-                a, fa = x, fx
+            if abs(fx) <= ftol and (b - a) <= xtol(x):
+                return RootResult(x, fx, b - a, evals)
+            step = fx / dfx if dfx != 0 else None
+            probe = newton = False
+            if (step is not None and abs(fx) <= ftol and 2 * abs(step) <= xtol(x)
+                    and a < x - 2 * step < b):
+                nxt, probe = x - 2 * step, True
+            elif (step is not None and not bisect and 2 * abs(step) < dx_old
+                    and a < x - step < b):
+                nxt, newton = x - step, True
             else:
-                b, fb = x, fx
-            prev_x, prev_f = best_x, best_f
-            best_x, best_f = x, fx
-            # every few steps force a bisection so the bracket keeps shrinking
-            if evals % 4 == 0:
-                bisect_left = max(bisect_left, 1)
+                nxt = (a + b) / 2
+                if not a < nxt < b:  # bracket collapsed to adjacent floats
+                    return RootResult(x, fx, b - a, evals)
+            dx, dx_old = abs(nxt - x), dx
+            if derivative:
+                fn, dfn = map(mpf, func(nxt))
+            else:
+                fn = mpf(func(nxt))
+                dfn = (fn - fx) / (nxt - x)
+            evals += 1
+            if fn == 0:
+                return RootResult(nxt, fn, mpf(0), evals)
+            if probe and mp.sign(fn) != mp.sign(fx) and abs(fn) <= ftol:
+                return RootResult(x - step, max(abs(fx), abs(fn)), 2 * abs(step), evals)
+            bisect = newton and abs(fn) > abs(fx) / 2
+            if mp.sign(fn) == mp.sign(fa):
+                a, fa = nxt, fn
+            else:
+                b, fb = nxt, fn
+            x, fx, dfx = nxt, fn, dfn
         raise MaxIterations(
             f"no root to tolerance {policy.target_abs_error} within "
-            f"{policy.max_iterations} evaluations (best residual {mp.nstr(best_f, 6)})")
+            f"{policy.max_iterations} evaluations (best residual {mp.nstr(fx, 6)})")
 
 
 def gaussian_tail_upper_bound(y_trunc) -> mpf:

@@ -185,9 +185,9 @@ def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
         m += 1
 
 
-def _strip(lib, alpha, b):
+def _strip(alpha, b):
     """(a, M, 1 - e^(-delta), 1/(2b) + a^2) of f(y) = 1/(e^(alpha + b y^2) - eta)
-    at alpha > 0, in ``math`` (to choose a stride) or ``mp`` (to certify it).
+    at alpha > 0.
 
     With delta = alpha/16, Re(alpha + b y^2) >= delta + b x^2 on the strip
     |Im y| <= a = sqrt((alpha - delta)/b), y = x + i s.  So, for both
@@ -197,9 +197,9 @@ def _strip(lib, alpha, b):
     1/(1 - e^(-delta)); |y^2| <= x^2 + a^2 multiplies M by 1/(2b) + a^2.
     """
     delta = alpha / 16
-    a = lib.sqrt((alpha - delta) / b)
-    shortfall = -lib.expm1(-delta)
-    return a, lib.sqrt(lib.pi / b) * lib.exp(-delta) / shortfall, shortfall, 1 / (2 * b) + a * a
+    a = mp.sqrt((alpha - delta) / b)
+    shortfall = -mp.expm1(-delta)
+    return a, mp.sqrt(mp.pi / b) * mp.exp(-delta) / shortfall, shortfall, 1 / (2 * b) + a * a
 
 
 class _Lattice:
@@ -243,8 +243,7 @@ class _LevelTable:
         self.tau = tau = as_mpf(side.tau)
         self.sqrt_b = mp.sqrt(b)
         self.w1 = mp.exp(-b * (1 - tau) ** 2)
-        self._float_b, self._float_eps = float(b), float(eps)
-        self._log_inv_eps = -math.log(self._float_eps)
+        self._log_b, self._log_eps = float(mp.log(b)), float(mp.log(eps))
         self._lattices = {}
         self._theta0 = None
 
@@ -265,20 +264,37 @@ class _LevelTable:
         """The largest stride whose :meth:`aliasing` stays within half the
         truncation target of each sum (eps/2 for the number and the force,
         eps for their alpha-derivatives), chosen in floating point; 1 where
-        alpha <= 0 (a Bose pole near the axis, or a degenerate Fermi sea)."""
-        x = float(alpha)
+        alpha <= 0 (a Bose pole near the axis, or a degenerate Fermi sea).
+
+        The choice is formed from logarithms of the quantities of
+        :func:`_strip`: M/eps itself overflows a float from t ~ 1e100 on,
+        and eps underflows near t = 1e308.
+        """
+        x, log_b, log_eps = float(alpha), self._log_b, self._log_eps
         # a float precheck: stride 2 needs e^(pi a) above M/eps, about 1/eps
-        if not (x > 0 and 2 * math.pi * math.sqrt(x / self._float_b) > self._log_inv_eps):
+        if not (0 < x < math.inf and 2 * math.pi * math.exp(
+                min((math.log(x) - log_b) / 2, 700)) > -log_eps):
             return 1
-        a, bound, shortfall, weight = _strip(math, x, self._float_b)
-        # the largest M/budget of the four sums, with room for rounding;
-        # bound is 0 only where e^(-alpha/16) underflows
-        ratio = bound / self._float_eps * max(2, 1 / shortfall) * max(1, weight)
-        room = (1 - 1e-6) / ratio - 1 / math.expm1(min(2 * math.pi * a, 700)) if ratio else 0
-        if not room > 0:
+        delta = x / 16
+        shortfall = -math.expm1(-delta)
+        if not shortfall > 0:  # alpha/16 underflows
             return 1
-        m = int(min(2 * math.pi * a / math.log1p(1 / room), a))
-        return m if m >= 2 else 1
+        log_a = (math.log(x - delta) - log_b) / 2
+        # the largest M/budget of the four sums, with room for rounding
+        log_ratio = ((math.log(math.pi) - log_b) / 2 - delta - math.log(shortfall) - log_eps
+                     + math.log(max(2, 1 / shortfall))
+                     + max(0, math.log(0.5 + x - delta) - log_b) - math.log1p(-1e-6))
+        # the stride-1 aliasing share 1/(e^(2 pi a) - 1) must leave room
+        # = 1/ratio - 1/(e^(2 pi a) - 1) > 0 to stride m
+        two_pi_a = 2 * math.pi * math.exp(min(log_a, 700))
+        log_alias = -two_pi_a - math.log(-math.expm1(-two_pi_a))
+        if not log_alias < -log_ratio:
+            return 1
+        log_room = math.log(-math.expm1(log_alias + log_ratio)) - log_ratio
+        # m = min(2 pi a / log1p(1/room), a)
+        log1p_inv_room = max(-log_room, 0) + math.log1p(math.exp(-abs(log_room)))
+        log_m = log_a - math.log(max(1, log1p_inv_room / (2 * math.pi)))
+        return max(1, int(math.exp(log_m))) if log_m < 700 else int(mp.exp(log_m))
 
     def aliasing(self, alpha: mpf, m: int) -> tuple:
         """Bounds on |sum_(n>=1) F(n - tau) - S_m| for F in the number,
@@ -292,7 +308,7 @@ class _LevelTable:
         sigma = 1), and S_m half of m times its sum over mZ; each is within
         half that bound of half the integral, at h = 1 and at h = m.
         """
-        a, bound, shortfall, weight = _strip(mp, alpha, self.b)
+        a, bound, shortfall, weight = _strip(alpha, self.b)
         g = 1 / mp.expm1(2 * mp.pi * a / m) + 1 / mp.expm1(2 * mp.pi * a)
         dbound = bound / shortfall
         return bound * g, dbound * g, bound * weight * g, dbound * weight * g
@@ -523,14 +539,15 @@ def solve_alpha(stat: Statistics, side: WellSide, N: int, t,
     precision escalates (up to ``max_digits``) if the tolerance cannot be
     met at the working precision.
     """
-    if not (isinstance(N, int) and N >= 1):
-        raise ValueError("N must be a positive integer")
     sol, _ = _solve_side(stat, side, N, t, policy)
     return sol
 
 
 def _solve_side(stat: Statistics, side: WellSide, N: int, t,
                 policy: PrecisionPolicy):
+    # every oracle entry point solves through here
+    if not (isinstance(N, int) and N >= 1):
+        raise ValueError("N must be a positive integer")
     t = mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
@@ -607,9 +624,9 @@ def force_side(stat: Statistics, side: WellSide, N: int, t,
 def net_force(stat: Statistics, N: int, t,
               policy: PrecisionPolicy = DEFAULT_POLICY) -> CurvePoint:
     """Net reduced force on the partition at one temperature."""
-    t = mpf(t)
     sol_m, (f_m, err_m) = _solve_side(stat, W_MINUS, N, t, policy)
     sol_p, (f_p, err_p) = _solve_side(stat, W_PLUS, N, t, policy)
+    t = mpf(t)
     with mp.workdps(policy.dps):
         return CurvePoint(
             t=t,

@@ -3,6 +3,7 @@ import math
 import pytest
 from mpmath import mp, mpf
 
+from partition_well import boson_medium
 from partition_well.boson_medium import (
     OutOfRange,
     alpha_zero_temperatures,
@@ -72,6 +73,18 @@ class TestScaledAlphaSolve:
         exact = solve_scaled_alpha(W_MINUS, 100, t0_minus * mpf("1.05"), "exact_S_solve")
         approx = solve_scaled_alpha(W_MINUS, 100, t0_minus * mpf("1.05"), "series_inversion")
         assert abs(exact.t_alpha - approx.t_alpha) < mpf("2e-3")
+
+    @pytest.mark.parametrize("side,N,t,evaluations", [
+        (W_PLUS, 10, 2, 12), (W_PLUS, 10, 30, 12), (W_PLUS, 10, 1000, 12),
+        (W_PLUS, 100, 55, 11),
+        (W_MINUS, 10, 2, 13), (W_MINUS, 10, 30, 12), (W_MINUS, 10, 1000, 12),
+        (W_MINUS, 100, 55, 11),
+    ])
+    def test_exact_solve_evaluations(self, side, N, t, evaluations, root_evaluations):
+        # safeguarded steps on the secant slope of the last two iterates
+        evals = root_evaluations(boson_medium)
+        solve_scaled_alpha(side, N, t, "exact_S_solve")
+        assert evals == [evaluations]
 
     def test_method_side_restrictions(self):
         with pytest.raises(ValueError):

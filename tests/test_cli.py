@@ -106,6 +106,19 @@ class TestCurve:
         assert ("numeric failure at grid point 1 (t = 2.0): MaxIterations: injected"
                 in captured.err)
 
+    @pytest.mark.parametrize("t", ["1e120", "1e308"])
+    def test_huge_temperature_exit_0(self, t, capsys):
+        # a float M/eps overflows at 1e120 and eps underflows at 1e308:
+        # the stride is chosen from their logarithms
+        assert run_cli(["curve", "--stat", "boson", "--N", "3",
+                        "--t", f"{t}:{t}:1:log"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[0]) == float(t)
+        delta_f, error = mpf(row[5]), mpf(row[6])
+        with mp.workdps(40):
+            lead = mpf(3) / 2 * mp.sqrt(mpf(float(t)) / mp.pi)
+        assert abs(delta_f - lead) + 1 <= error
+
     def test_invalid_grid_exit_2(self):
         assert run_cli(["curve", "--t", "5:1:10:log"]) == 2
         assert run_cli(["curve", "--t", "1:5:10:cubic"]) == 2

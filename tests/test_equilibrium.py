@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from partition_well import equilibrium, oracle
 from partition_well.equilibrium import (
     shift_finite_temperature,
     shift_zero_temperature,
@@ -72,6 +73,23 @@ class TestShiftFiniteTemperature:
         assert abs(declines[0] - declines[1]) < mpf("0.01")
         assert declines[0] < mpf("0.95")  # past the plateau, the shift has dropped
 
+    def test_force_side_calls(self, root_evaluations, monkeypatch):
+        # each xi is solved once: xi = 0 for the scale, then the upper
+        # bracket end and 7 more root-finder points, then the root, which
+        # the straddle probe returns unevaluated; two sides each
+        calls = []
+        force_side = oracle.force_side
+
+        def counting_force_side(*args, **kwargs):
+            calls.append(1)
+            return force_side(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "force_side", counting_force_side)
+        evals = root_evaluations(equilibrium)
+        shift_finite_temperature(BOSON, 5, 3)
+        assert evals == [9]
+        assert len(calls) == 20
+
 
 class TestTransfer:
     def test_boson_split(self):
@@ -95,6 +113,11 @@ class TestTransfer:
             split = transfer_zero_temperature(FERMION, N)
             ratio = split.n_plus / split.n_minus
             assert abs(ratio - (1 + mpf(1) / (2 * N))) < mpf("0.1") / N
+
+    def test_fermion_secant_work(self, root_evaluations):
+        evals = root_evaluations(equilibrium)
+        transfer_zero_temperature(FERMION, 100)
+        assert evals == [7]
 
     def test_balance_is_exact_at_split(self):
         split = transfer_zero_temperature(FERMION, 100)

@@ -97,26 +97,30 @@ class TestAlphaFromTemperature:
         assert abs(approx - avg) / abs(avg) < mpf("0.05")
 
     @pytest.mark.parametrize("t", [25, 100, 2500])
-    def test_newton_work_at_compare_points(self, t, monkeypatch):
-        evals, quads = [], []
-        solve = fermion_medium.find_root_bracketed
+    def test_newton_work_at_compare_points(self, t, monkeypatch, root_evaluations):
+        quads = []
         quad = fermion_medium.quad_semi_infinite
-
-        def counting_solve(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            evals.append(result.evaluations)
-            return result
 
         def counting_quad(*args, **kwargs):
             quads.append(1)
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(fermion_medium, "find_root_bracketed", counting_solve)
+        evals = root_evaluations(fermion_medium)
         monkeypatch.setattr(fermion_medium, "quad_semi_infinite", counting_quad)
         alpha_from_temperature(10, t, "quadrature")
         # one quadrature gives I and I' together
         assert evals == [7]
         assert len(quads) == evals[0]
+
+    @pytest.mark.parametrize("variant,t,evaluations", [
+        ("tanh_surrogate", 25, 9), ("tanh_surrogate", 50, 8),
+        ("tanh_surrogate", 100, 8), ("stoner", 36, 9), ("stoner", 100, 9),
+    ])
+    def test_secant_work(self, variant, t, evaluations, root_evaluations):
+        # the derivative-free variants step on the secant slope
+        evals = root_evaluations(fermion_medium)
+        alpha_from_temperature(10, t, variant)
+        assert evals == [evaluations]
 
     def test_unreachable_values_rejected(self):
         with pytest.raises(VariantDomainError):

@@ -83,6 +83,26 @@ class TestRootFinder:
         assert a.evaluations == b.evaluations
 
 
+# (func returning (g, g'), lo, hi, root)
+BRACKET_CASES = [
+    (lambda x: (mp.cos(x) - x, -mp.sin(x) - 1), 0, 1,
+     lambda: mpf("0.739085133215160641655312087673873404")),
+    # convex and decreasing: Newton approaches from one side only, so the
+    # straddle probe has to confirm the bracket
+    (lambda x: (1000 * mp.e ** (-x) - 1, -1000 * mp.e ** (-x)), 0, 100,
+     lambda: mp.log(1000)),
+    (lambda x: (x ** 3 - 2, 3 * x ** 2), 0, 100, lambda: mp.cbrt(2)),
+]
+
+
+def assert_bracket_width_stop(res, root, max_evaluations):
+    assert abs(res.residual) <= 1e-12
+    assert 0 < res.bracket_width <= max(mpf(1e-12), abs(res.root) * mpf(1e-12))
+    # the returned Newton point is the middle of the confirmed bracket
+    assert abs(res.root - root) <= res.bracket_width / 2
+    assert res.evaluations <= max_evaluations
+
+
 class TestRootFinderNewton:
     """``derivative=True``: func returns (g, g') and Newton steps are taken."""
 
@@ -96,23 +116,20 @@ class TestRootFinderNewton:
         assert mp.nstr(a.root, 30) == mp.nstr(b.root, 30)
         assert a.evaluations == b.evaluations
 
-    @pytest.mark.parametrize("func,lo,hi,root", [
-        (lambda x: (mp.cos(x) - x, -mp.sin(x) - 1), 0, 1,
-         lambda: mpf("0.739085133215160641655312087673873404")),
-        # convex and decreasing: Newton approaches from one side only, so the
-        # straddle probe has to confirm the bracket
-        (lambda x: (1000 * mp.e ** (-x) - 1, -1000 * mp.e ** (-x)), 0, 100,
-         lambda: mp.log(1000)),
-        (lambda x: (x ** 3 - 2, 3 * x ** 2), 0, 100, lambda: mp.cbrt(2)),
-    ])
+    @pytest.mark.parametrize("func,lo,hi,root", BRACKET_CASES)
     def test_bracket_width_stop(self, func, lo, hi, root):
         policy = PrecisionPolicy(target_abs_error=1e-12, target_rel_error=1e-12)
         res = find_root_bracketed(func, lo, hi, policy, derivative=True)
-        assert abs(res.residual) <= 1e-12
-        assert 0 < res.bracket_width <= max(mpf(1e-12), abs(res.root) * mpf(1e-12))
-        # the returned Newton point is the middle of the confirmed bracket
-        assert abs(res.root - root()) <= res.bracket_width / 2
-        assert res.evaluations < 20
+        assert_bracket_width_stop(res, root(), 19)
+
+    @pytest.mark.parametrize("func,lo,hi,root", BRACKET_CASES)
+    def test_bracket_width_stop_secant(self, func, lo, hi, root):
+        # the same loop on g alone, its slope the secant of the last two
+        # iterates; the cube's chord over [0, 100] lies far off the root,
+        # and that case takes 20 evaluations
+        policy = PrecisionPolicy(target_abs_error=1e-12, target_rel_error=1e-12)
+        res = find_root_bracketed(lambda x: func(x)[0], lo, hi, policy)
+        assert_bracket_width_stop(res, root(), 20)
 
     def test_sigmoid_flank_bisects(self):
         # the root of (1 + tanh x)/2 - 1e-30 lies far out on the flank, where

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from partition_well import oracle
+from partition_well.equilibrium import shift_finite_temperature
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
 from partition_well.numerics import (
     DEFAULT_POLICY,
@@ -246,6 +247,18 @@ class TestForces:
         tight = net_force(FERMION, 50, mpf("800"),
                           replace(DEFAULT_POLICY, target_abs_error=5e-13))
         assert abs(base.delta_f - tight.delta_f) < base.delta_f_error
+
+    @pytest.mark.parametrize("stat", [BOSON, FERMION])
+    @pytest.mark.parametrize("t", ["1e120", "1e308"])
+    def test_huge_temperature_bound_holds(self, stat, t):
+        # a few hundred strided points per sum, not sqrt(t) levels; the
+        # bound holds the high-temperature truth (N/2) sqrt(t/pi) + O(1)
+        t = mpf(t)
+        p = net_force(stat, 5, t)
+        with mp.workdps(40):
+            lead = mpf(5) / 2 * mp.sqrt(t / mp.pi)
+        assert abs(p.delta_f - lead) + 1 <= p.delta_f_error
+        assert solve_alpha(stat, W_PLUS, 5, t).n_trunc < 1000
 
     def test_curve_point_fields_consistent(self):
         p = net_force(FERMION, 10, mpf("25"))
@@ -513,6 +526,21 @@ class TestNumberSums:
                 # strided number sums stop where the full sums do
                 assert (number, dnumber) == (full.number, full.dnumber)
 
+    @pytest.mark.parametrize("t", ["1e120", "1e200", "1e308"])
+    def test_stride_at_huge_temperature(self, t):
+        # M/eps overflows a float from t ~ 1e100 on and eps underflows near
+        # 1e308; chosen from logarithms, the stride stays near a/ln(M/eps)
+        with mp.workdps(30 + GUARD_DIGITS):
+            b = 1 / mpf(t)
+            table = oracle._LevelTable(BOSON, W_PLUS, b,
+                                       oracle._sum_target(DEFAULT_POLICY, b))
+            alpha = mp.log(mp.sqrt(mp.pi / b) / 2 / 5)  # the classical root at N = 5
+            m = table.stride(alpha)
+            a = mp.sqrt(alpha / b)
+            assert a / 1000 < m < a / 100
+            sums = oracle._level_sums(table, alpha)
+            assert sums.stride == m and sums.terms < 1000
+
     @settings(max_examples=40, deadline=None)
     @given(stat=st.sampled_from([BOSON, FERMION]),
            side=st.sampled_from([W_MINUS, W_PLUS]),
@@ -593,3 +621,21 @@ def test_delta_f_within_bound_of_60_digit_sum():
 
         exact = force(mpf(0)) - force(mpf("0.5"))
         assert abs(point.delta_f - exact) <= point.delta_f_error
+
+
+ENTRY_POINTS = {
+    "solve_alpha": lambda N: solve_alpha(BOSON, W_PLUS, N, 1),
+    "force_side": lambda N: force_side(BOSON, W_PLUS, N, 1),
+    "net_force": lambda N: net_force(BOSON, N, 1),
+    "locate_minimum": lambda N: locate_minimum(BOSON, N),
+    "locate_inflections": lambda N: locate_inflections(FERMION, N),
+    "shift_finite_temperature": lambda N: shift_finite_temperature(BOSON, N, 1),
+}
+
+
+@pytest.mark.parametrize("N", [0, -2, 2.5])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_particle_number_checked_at_every_entry(entry, N):
+    # each entry point solves through one function that checks N
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        ENTRY_POINTS[entry](N)
