@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from statistics import median
 
 from mpmath import mp, mpf
 
@@ -170,10 +171,23 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = ("stat", "N", "t", "digits", "abs_tol", "jobs", "out", "format")
+# config key (also the command-line flag) -> (RunConfig field, file-value
+# parser); the grid comes first, so that a bad grid is the error reported
+_CONFIG_KEYS = {
+    "t": ("grid", _parse_grid),
+    "stat": ("statistics", str),
+    "N": ("particles_N", int),
+    "digits": ("digits", int),
+    "abs_tol": ("abs_tol", float),
+    "jobs": ("jobs", int),
+    "out": ("out", str),
+    "format": ("format", str),
+}
 
 
 def _merge_config(args) -> RunConfig:
+    """The values supplied by flag or config file; RunConfig supplies the
+    defaults of the rest."""
     file_values = {}
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
@@ -183,31 +197,18 @@ def _merge_config(args) -> RunConfig:
         unknown = set(file_values) - set(_CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag, key, conv, default):
-        flag_val = getattr(args, flag, None)
+    supplied = {}
+    for key, (name, conv) in _CONFIG_KEYS.items():
+        flag_val = getattr(args, key, None)
         if flag_val is not None:
-            return flag_val
-        if key in file_values:
+            # argparse has converted every flag but the grid
+            supplied[name] = conv(flag_val)
+        elif key in file_values:
             try:
-                return conv(file_values[key])
+                supplied[name] = conv(file_values[key])
             except ValueError as exc:  # a UsageError too, from the grid parser
                 raise UsageError(f"config key {key}: {exc}") from None
-        return default
-
-    grid = pick("t", "t", _parse_grid, GridSpec(0.01, 1e6, 50, "log"))
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    return RunConfig(
-        statistics=pick("stat", "stat", str, "boson"),
-        particles_N=pick("N", "N", int, 100),
-        grid=grid,
-        digits=pick("digits", "digits", int, 17),
-        abs_tol=pick("abs_tol", "abs_tol", float, 1e-12),
-        jobs=pick("jobs", "jobs", int, 1),
-        out=pick("out", "out", str, None),
-        format=pick("format", "format", str, "csv"),
-    )
+    return RunConfig(**supplied)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +289,18 @@ def _sweep(cfg: RunConfig, names=None) -> list:
         return oracle.sweep_curve(*args, map=pool.map, each=each)
 
 
+def _write_json(out_stream, cfg: RunConfig, command, **body):
+    """The JSON document of a command: the envelope (schema and program
+    versions, the command unless it is None, the merged config), then
+    ``body``."""
+    doc = {"schema_version": SCHEMA_VERSION, "version": __version__}
+    if command is not None:
+        doc["command"] = command
+    doc["config"] = cfg.as_dict()
+    json.dump({**doc, **body}, out_stream, indent=2)
+    out_stream.write("\n")
+
+
 def _run_curve(cfg: RunConfig, out_stream) -> int:
     rows = [tuple(_fmt(getattr(point, col), cfg.digits) for col in CURVE_COLUMNS)
             for point in _sweep(cfg)]
@@ -296,15 +309,8 @@ def _run_curve(cfg: RunConfig, out_stream) -> int:
         for row in rows:
             out_stream.write(",".join(row) + "\n")
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "command": "curve",
-            "config": cfg.as_dict(),
-            "rows": [dict(zip(CURVE_COLUMNS, row)) for row in rows],
-        }
-        json.dump(doc, out_stream, indent=2)
-        out_stream.write("\n")
+        _write_json(out_stream, cfg, "curve",
+                    rows=[dict(zip(CURVE_COLUMNS, row)) for row in rows])
     return EXIT_OK
 
 
@@ -335,13 +341,10 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
             rows.append((t, exact, name, approx, abs_err, rel_err))
     summary = []
     for (name, window), errs in sorted(stats.items()):
-        errs = sorted(errs)
-        mid = errs[len(errs) // 2] if len(errs) % 2 else \
-            (errs[len(errs) // 2 - 1] + errs[len(errs) // 2]) / 2
         summary.append({"approximation": name, "window": window,
                         "points": len(errs),
                         "max_rel_error": _fmt(max(errs), cfg.digits),
-                        "median_rel_error": _fmt(mid, cfg.digits)})
+                        "median_rel_error": _fmt(median(errs), cfg.digits)})
     d = cfg.digits
     if cfg.format == "csv":
         out_stream.write("t,oracle_delta_f,approximation,value,abs_error,rel_error\n")
@@ -353,24 +356,14 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
         for entry in summary:
             out_stream.write("# summary " + json.dumps(entry, sort_keys=True) + "\n")
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "command": "compare",
-            "config": cfg.as_dict(),
-            "approximations": list(names),
-            "rows": [
-                {"t": _fmt(t, d), "oracle_delta_f": _fmt(exact, d),
-                 "approximation": name,
-                 "value": None if approx is None else _fmt(approx, d),
-                 "abs_error": None if abs_err is None else _fmt(abs_err, d),
-                 "rel_error": None if rel_err is None else _fmt(rel_err, d)}
-                for t, exact, name, approx, abs_err, rel_err in rows
-            ],
-            "summary": summary,
-        }
-        json.dump(doc, out_stream, indent=2)
-        out_stream.write("\n")
+        _write_json(out_stream, cfg, "compare", approximations=list(names), rows=[
+            {"t": _fmt(t, d), "oracle_delta_f": _fmt(exact, d),
+             "approximation": name,
+             "value": None if approx is None else _fmt(approx, d),
+             "abs_error": None if abs_err is None else _fmt(abs_err, d),
+             "rel_error": None if rel_err is None else _fmt(rel_err, d)}
+            for t, exact, name, approx, abs_err, rel_err in rows
+        ], summary=summary)
     return EXIT_OK
 
 
@@ -424,10 +417,7 @@ def _run_report(cfg: RunConfig, kind: str, t_value, window, out_stream) -> int:
         for key, value in record.items():
             out_stream.write(f"{key},{value}\n")
     else:
-        doc = {"schema_version": SCHEMA_VERSION, "version": __version__,
-               "command": "report", "config": cfg.as_dict(), "report": record}
-        json.dump(doc, out_stream, indent=2)
-        out_stream.write("\n")
+        _write_json(out_stream, cfg, "report", report=record)
     return EXIT_OK
 
 
@@ -522,9 +512,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         if args.command == "show-config":
-            json.dump({"schema_version": SCHEMA_VERSION, "version": __version__,
-                       "config": cfg.as_dict()}, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            _write_json(sys.stdout, cfg, None)
             return EXIT_OK
         handle = _open_out(cfg)
         code = None

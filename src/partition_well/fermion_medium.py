@@ -38,6 +38,7 @@ __all__ = [
     "VariantDomainError",
     "STONER_INTERVAL",
     "fermi_integral",
+    "fermi_integral_ends",
     "alpha_from_temperature",
     "force_kernel",
     "force_kernel_minimum",
@@ -177,12 +178,14 @@ def force_kernel_minimum(variant: str = "quadrature",
         return a, J(a)
 
 
-# the maximum of Dawson's integral F(x) = e^(-x^2) integral_0^x e^(u^2) du,
-# rounded up (F(0.9241...) = 0.54104...)
+# bounds on Dawson's integral F(x) = e^(-x^2) integral_0^x e^(u^2) du, rounded
+# up: its maximum F(0.9241...) = 0.54104... and the maximum of x F(x),
+# 0.64237... at x = 1.5020...
 _DAWSON_MAX = mpf("0.5411")
+_DAWSON_X_MAX = mpf("0.6424")
 
 
-def _closed_form_ends(target: mpf):
+def fermi_integral_ends(target: mpf) -> tuple:
     """Padded ends (lo, hi) with I(lo) > target > I(hi), from closed bounds on I.
 
     Upper end: Boltzmann occupancy bounds the Fermi one from above, so
@@ -193,20 +196,26 @@ def _closed_form_ends(target: mpf):
 
     Lower end: 1/(x + 1) >= 1 - x gives s >= 1 - exp(alpha + y^2), so at
     alpha = -y0^2 the part of I below the edge is at least y0 - F(y0), with
-    F Dawson's integral, and I > y0 - max F; hence lo = -(target + max F)^2.
-    And exp(alpha + y^2) + 1 <= (e^alpha + 1) e^(y^2) gives I >= (sqrt(pi)/2)
+    F Dawson's integral.  F <= max F = 0.5411 and x F(x) <= 0.6424 give
+    I > y0 - min(0.5411, 0.6424/y0), which exceeds the target from
+    y0 = min(target + 0.5411, (target + sqrt(target^2 + 4 (0.6424)))/2) on;
+    hence lo = -y0^2 (the second form is the smaller one above the
+    crossover target 0.6424/0.5411 - 0.5411 = 0.6461).  And
+    exp(alpha + y^2) + 1 <= (e^alpha + 1) e^(y^2) gives I >= (sqrt(pi)/2)
     / (e^alpha + 1), hence lo = log((sqrt(pi)/2)/target - 1) when target <
     sqrt(pi)/2.
 
     The tighter candidate is taken at each end, and both ends are padded
-    outward by 10^(4 - dps) max(1, |x|).
+    outward by 10^(4 - dps) max(1, |x|).  The oracle bounds its soft-step
+    fermion constraint with the same lower end.
     """
     half_root_pi = mp.sqrt(mp.pi) / 2
     hi = mp.log(half_root_pi / target)
     if target > mp.sqrt(2):
         y0 = (target + mp.sqrt(target ** 2 - 2)) / 2
         hi = min(hi, -y0 ** 2)
-    lo = -(target + _DAWSON_MAX) ** 2
+    y0 = min(target + _DAWSON_MAX, (target + mp.sqrt(target ** 2 + 4 * _DAWSON_X_MAX)) / 2)
+    lo = -y0 ** 2
     if target < half_root_pi:
         lo = max(lo, mp.log(half_root_pi / target - 1))
     pad = mpf(10) ** (4 - mp.dps)
@@ -220,7 +229,7 @@ def alpha_from_temperature(N: int, t, variant: str = "quadrature",
     Depends on (N, t) only through N/sqrt(t), so alpha(N, t) = alpha(k N,
     k^2 t) identically.  The quadrature route takes safeguarded Newton steps
     on (I - N/sqrt(t), I'), one paired evaluation per step, inside the
-    closed-form ends of :func:`_closed_form_ends`; it reaches every
+    closed-form ends of :func:`fermi_integral_ends`; it reaches every
     positive target.  The other variants bracket on their monotone domain
     and raise :class:`VariantDomainError` when the target is not reachable
     there.
@@ -235,7 +244,7 @@ def alpha_from_temperature(N: int, t, variant: str = "quadrature",
                 v = fermi_integral(a, variant, policy=policy)
                 return v.I - target, v.I_prime
 
-            lo, hi = _closed_form_ends(target)
+            lo, hi = fermi_integral_ends(target)
             return find_root_bracketed(residual, lo, hi, policy, derivative=True).root
 
         I = lambda a: fermi_integral(a, variant, policy=policy).I

@@ -27,11 +27,11 @@ log(Theta_0/N - w) and log(Theta_0/N) for fermions, and between
 log(Theta_0/N) and log(Theta_0/N + w) for bosons (the lower ends where
 Theta_0 > N w).  Near the Bose pole the first level's capacity,
 x_1 = log(1 + 1/N), gives the lower end instead; for a sharp Fermi step
-both ends are those of a window around the filled levels.  Each end is
-padded outward by 10^(4 - dps) max(1, |alpha|), a few units of the working
-precision: with a single occupied level the bound is tight.  Only fermions
-between the degenerate and the classical regime probe the constraint for
-their lower end.
+both ends are those of a window around the filled levels; for a soft one
+the Fermi integral I(alpha) of :mod:`.fermion_medium` bounds the sum from
+below.  Each end is padded outward by 10^(4 - dps) max(1, |alpha|), a few
+units of the working precision: with a single occupied level the bound is
+tight.  No end is found by evaluating the constraint.
 
 Every level sum runs one strided loop over points y_j = y_0 + m j with
 weight m.  Stride m = 1 with y_0 = 1 - tau sums every level y = n - tau.
@@ -61,6 +61,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
+from .fermion_medium import fermi_integral_ends
 from .model import Statistics, W_MINUS, W_PLUS, WellSide, as_mpf
 from .numerics import (
     DEFAULT_POLICY,
@@ -424,17 +425,9 @@ def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
                       j + 1, m)
 
 
-def _filled_levels_window(side: WellSide, N: int, b: mpf) -> tuple:
-    """(centre, half width) of a window around the degenerate-fermion alpha,
-    midway between the last filled level N and the first empty one."""
-    tau = as_mpf(side.tau)
-    centre = -(b / 2) * ((N - tau) ** 2 + (N + 1 - tau) ** 2)
-    return centre, max(mpf(1), 4 * b * (N + 1))
-
-
 def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
                       table: _LevelTable) -> tuple:
-    """Closed-form bracket ends ``(lo or None, hi)`` for the constraint.
+    """Closed-form bracket ends ``(lo, hi)`` for the constraint.
 
     With Theta_0 = sum_n e^(-b e_n), w = e^(-b e_1) and x_n = alpha + b e_n,
     Boltzmann occupancy bounds the quantum occupancies level by level:
@@ -451,7 +444,8 @@ def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
     level alone holds N particles at x_1 = log(1 + 1/N), the tighter lower
     end near the pole.  For fermions whose Fermi step is sharp, half a level
     gap h = b (N + 1/2 - tau) of at least 2, both ends are those of the
-    filled-levels window, centre -+ width with width >= 4 b (N + 1).  At
+    filled-levels window, centre -+ width: alpha = centre puts x = 0
+    midway between x_N and x_(N+1), and width = max(1, 4 b (N + 1)).  At
     the lower end x_(N+1) <= -3h, so the holes in the first N + 1 levels sum
     to less than one; at the upper end x_N >= 3h, so the particles from
     level N up sum to less than one.  The Boltzmann ends would lie on the
@@ -459,13 +453,26 @@ def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
     unit of x per step; from the window's ends the root finder bisects
     straight onto the plateau between the levels.
 
+    A soft Fermi step takes its lower end from the Fermi integral
+    I(alpha) = integral_0^inf dy/(e^(alpha + y^2) + 1).  The occupancy
+    f(y) = 1/(e^(alpha + b y^2) + 1) decreases in y >= 0 and stays below 1,
+    and the levels y = n - tau are spaced by 1, so
+
+        sum_n f(n - tau) >= integral_(1 - tau)^inf f dy
+                          > integral_0^inf f dy - (1 - tau)
+                          = sqrt(t) I(alpha) - (1 - tau).
+
+    The sum thus exceeds N wherever I(alpha) > (N + 1 - tau) sqrt(b): at
+    and below the lower end of :func:`~.fermion_medium.fermi_integral_ends`
+    for that target.  Where Theta_0 > N w the larger of it and the
+    Boltzmann end is taken.
+
     Theta_0 and w come from the solve's level table, Theta_0 summed to a
     relative error of 10^(-dps); it is widened by 10^(4 - dps) in the
     direction that keeps each bound valid.  Each end is padded outward by
     10^(4 - dps) max(1, |alpha|): with a single occupied level a bound is
     tight, and rounding alone could put the end on the wrong side of the
-    root.  ``lo`` is None where no closed-form lower end
-    applies.
+    root.
     """
     b, tau, e1, w = table.b, table.tau, as_mpf(side.e1), table.w1
     # Theta_0 >= w, so its truncation error is a relative one
@@ -473,58 +480,24 @@ def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
     rel = mpf(10) ** (4 - mp.dps)
     theta_lo, theta_hi = theta * (1 - rel), theta * (1 + rel)
     classical = theta_lo > N * w
-    lo = None
     if stat.is_boson:
         hi = mp.log(theta_hi / N + w)
         lo = -b * e1 + mp.log1p(mpf(1) / N)
         if classical:
             lo = max(lo, mp.log(theta_lo / N))
     elif b * (N + mpf(1) / 2 - tau) >= 2:
-        centre, width = _filled_levels_window(side, N, b)
+        centre = -(b / 2) * ((N - tau) ** 2 + (N + 1 - tau) ** 2)
+        width = max(mpf(1), 4 * b * (N + 1))
         lo, hi = centre - width, centre + width
     else:
         hi = mp.log(theta_hi / N)
+        lo = fermi_integral_ends((N + 1 - tau) * table.sqrt_b)[0]
         if classical:
-            lo = mp.log(theta_lo / N - w)
+            lo = max(lo, mp.log(theta_lo / N - w))
     hi += rel * max(1, abs(hi))
-    if lo is None:
-        return None, hi
     lo -= rel * max(1, abs(lo))
     if stat.is_boson and not lo + b * e1 > 0:
         raise BracketFailure("no bracket above the bosonic pole")
-    return lo, hi
-
-
-def _bracket_alpha(stat: Statistics, side: WellSide, N: int, table: _LevelTable,
-                   g: Callable) -> tuple:
-    """Sign-changing bracket for the constraint g(alpha) = sum - N (decreasing).
-
-    The upper end always, and the lower end nearly always, come in closed
-    form from :func:`_closed_form_ends`: Boltzmann occupancy lies below the
-    Fermi and above the Bose occupancy, and the first level's factor
-    1 -+ e^(-x_1) bounds the ratio the other way; the ends are padded
-    outward against rounding.  Only fermions between the degenerate and the
-    classical regime (a soft Fermi step and Theta_0 <= N w) have no
-    closed-form lower end; it is then found by probing below the
-    filled-levels window, else by a descent from the upper end.  The
-    constraint sum is never probed at a fixed alpha.
-    """
-    lo, hi = _closed_form_ends(stat, side, N, table)
-    if lo is not None:
-        return lo, hi
-    centre, width = _filled_levels_window(side, N, table.b)
-    for _ in range(12):
-        lo = centre - width
-        if g(lo) > 0:
-            return lo, hi
-        width *= 4
-    lo = hi - 1
-    step = mpf(2)
-    while g(lo) < 0:
-        lo -= step
-        step *= 2
-        if lo < mpf("-1e18"):
-            raise BracketFailure("constraint stays below N for very negative alpha")
     return lo, hi
 
 
@@ -570,16 +543,12 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
     with mp.workdps(policy.dps):
         b = 1 / mpf(t)
         table = _LevelTable(stat, side, b, _sum_target(policy, b))
-        memo: dict = {}
 
         def g(alpha):
-            # a probed bracket end is also the root finder's end point
-            if alpha not in memo:
-                number, dnumber = _number_sums(table, alpha)
-                memo[alpha] = (number - N, dnumber)
-            return memo[alpha]
+            number, dnumber = _number_sums(table, alpha)
+            return number - N, dnumber
 
-        lo, hi = _bracket_alpha(stat, side, N, table, lambda alpha: g(alpha)[0])
+        lo, hi = _closed_form_ends(stat, side, N, table)
         root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
         sums = _level_sums(table, root)
         residual = abs(sums.number - N) + sums.tail_number

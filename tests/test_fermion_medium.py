@@ -9,6 +9,7 @@ from partition_well.fermion_medium import (
     alpha_from_temperature,
     alpha_split_subleading,
     fermi_integral,
+    fermi_integral_ends,
     fermion_medium_net_force,
     force_kernel,
     force_kernel_minimum,
@@ -136,12 +137,24 @@ class TestClosedFormEnds:
     # the targets at which a candidate end starts or stops applying
     @example(log10_target=float(mp.log10(mp.sqrt(mp.pi) / 2)))
     @example(log10_target=float(mp.log10(mp.sqrt(2))))
+    # where the x F(x) bound takes over the lower end from max F
+    @example(log10_target=float(mp.log10(mpf("0.6424") / mpf("0.5411") - mpf("0.5411"))))
     def test_ends_straddle_the_root(self, log10_target):
         with mp.workdps(DEFAULT_POLICY.working_digits + GUARD_DIGITS):
             target = mpf(10) ** log10_target
-            lo, hi = fermion_medium._closed_form_ends(target)
+            lo, hi = fermi_integral_ends(target)
         assert lo < hi
         assert fermi_integral(lo, "quadrature").I > target > fermi_integral(hi, "quadrature").I
+
+    def test_dawson_bounds(self):
+        # F(x) = (sqrt(pi)/2) e^(-x^2) erfi(x); x F(x) peaks at 0.642375 near
+        # x = 1.502 and tends to 1/2 from above, F peaks at 0.54104 near 0.924
+        with mp.workdps(40):
+            for k in range(1, 5001):
+                x = mpf(k) / 500
+                F = mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
+                assert x * F < fermion_medium._DAWSON_X_MAX
+                assert F < fermion_medium._DAWSON_MAX
 
 
 class TestForceKernel:

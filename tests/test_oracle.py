@@ -340,9 +340,10 @@ class TestMinimumAndInflections:
 class TestRootCounters:
     """Constraint solves pinned in work per side, minus side then plus side:
     root-finder evaluations (end points included) and ``_number_sums``
-    calls (bracket probes included).  Calls that read the solve's level
-    table count as ``_number_sums`` calls like any other: the table saves
-    work inside a call, not calls.  With a series probe at alpha = 1/2
+    calls.  Every bracket end is closed-form, so each evaluation is one
+    call and nothing else sums the constraint.  Calls that read the solve's
+    level table count as ``_number_sums`` calls like any other: the table
+    saves work inside a call, not calls.  With a series probe at alpha = 1/2
     opening every bracket these were 13/13, 7/7, 7/7, 7/7 evaluations and
     13/13, 8/8, 8/8, 7/7 calls; the bisection/secant solve before that
     needed 20/20, 18/19, 16/18 and 22/19 evaluations."""
@@ -384,6 +385,9 @@ class TestRootCounters:
         (FERMION, 100, "4440", dict(evals=[7, 7], calls=[7, 7])),
         (BOSON, 100, "1e7", dict(evals=[6, 6], calls=[6, 6])),
         (BOSON, 8, "0.01", dict(evals=[2, 2], calls=[2, 2])),
+        # a soft Fermi step with Theta_0 <= N w: the lower end comes from
+        # the Fermi integral alone
+        (FERMION, 4, "4.85", dict(evals=[7, 7], calls=[7, 7])),
     ])
     def test_evaluations_per_side(self, monkeypatch, stat, N, t, counts):
         evals, calls, _ = self._count(monkeypatch)
@@ -435,14 +439,14 @@ class TestRootCounters:
             eps = oracle._sum_target(policy, b)
             for side in (W_MINUS, W_PLUS):
                 table = oracle._LevelTable(FERMION, side, b, eps)
-                centre, width = oracle._filled_levels_window(side, 1, b)
+                lo, _ = oracle._closed_form_ends(FERMION, side, 1, table)
 
                 def g(alpha):
                     number, dnumber = oracle._number_sums(table, alpha)
                     return number - 1, dnumber
 
                 res = oracle.find_root_bracketed(
-                    g, centre - width, mp.log(table.theta0()[0]), policy,
+                    g, lo, mp.log(table.theta0()[0]), policy,
                     derivative=True)
                 assert abs(res.residual) <= policy.target_abs_error
                 assert res.evaluations <= 16
@@ -463,6 +467,13 @@ class TestClosedFormEnds:
     @example(stat=BOSON, side=W_PLUS, N=8, log10_t=-2.0)
     @example(stat=FERMION, side=W_MINUS, N=1, log10_t=-2.0)
     @example(stat=FERMION, side=W_PLUS, N=1, log10_t=-2.0)
+    # soft Fermi steps with Theta_0 <= N w, lower end from the Fermi integral
+    @example(stat=FERMION, side=W_MINUS, N=100, log10_t=math.log10(4440))
+    @example(stat=FERMION, side=W_PLUS, N=100, log10_t=math.log10(4440))
+    @example(stat=FERMION, side=W_MINUS, N=4, log10_t=math.log10(4.85))
+    @example(stat=FERMION, side=W_PLUS, N=4, log10_t=math.log10(4.85))
+    @example(stat=FERMION, side=W_MINUS, N=3, log10_t=math.log10(5))
+    @example(stat=FERMION, side=W_PLUS, N=3, log10_t=math.log10(5))
     def test_ends_straddle_the_root(self, stat, side, N, log10_t):
         policy = DEFAULT_POLICY
         with mp.workdps(policy.working_digits + GUARD_DIGITS):
@@ -474,12 +485,11 @@ class TestClosedFormEnds:
             def g(alpha):
                 return oracle._number_sums(table, alpha)[0] - N
 
-            assert g(hi) < 0
+            assert lo is not None
+            assert lo < hi
+            assert g(lo) > 0 > g(hi)
             if stat.is_boson:
-                assert lo is not None and lo + b * as_mpf(side.e1) > 0
-            if lo is not None:
-                assert lo < hi
-                assert g(lo) > 0
+                assert lo + b * as_mpf(side.e1) > 0
 
 
 class TestNumberSums:
