@@ -7,8 +7,9 @@ closed forms
     sum_n 1/(z + (n - 1/2)^2) = pi tanh(pi sqrt(z)) / (2 sqrt(z))   (plus side)
     sum_n 1/(z + n^2)         = (pi sqrt(z) coth(pi sqrt(z)) - 1) / (2 z)
 
-in the scaled variable ``z = t alpha``.  Solving ``S(z) = N/t`` per side and
-inserting the solutions into
+in the scaled variable ``z = t alpha``.  Solving ``S(z) = N/t`` per side
+(secant steps between ends in closed form, from bounds on the first term
+and on the rest of the sum) and inserting the solutions into
 
     delta_f / N  ~=  -(1/2) (t/N) - (z_minus - z_plus)
 
@@ -110,25 +111,26 @@ def alpha_zero_temperatures(N: int):
         return 2 * N / mp.pi ** 2, 6 * N / mp.pi ** 2
 
 
-def _solve_exact(side: WellSide, target: mpf,
-                 policy: PrecisionPolicy) -> mpf:
-    """Root of spectral_sum(side, z) = target; S is strictly decreasing."""
+def _solve_ends(side: WellSide, target: mpf) -> tuple:
+    """Padded ends (lo, hi) with S(lo) > target > S(hi), in closed form.
+
+    The first term alone gives S(z) > 1/(z + e_1), so S > target at
+    lo = 1/target - e_1.  For z > 0 the terms beyond the first sum to less
+    than integral_0^inf dy/(z + y^2) = pi/(2 sqrt(z)), so S < 1/z +
+    pi/(2 sqrt(z)) <= target at hi = max(2/target, (pi/target)^2).  Both
+    ends are padded outward by 10^(4 - dps) max(1, |x|); a target so large
+    that the padded lo reaches the pole at -e_1 raises :class:`OutOfRange`.
+    """
     if not target > 0:
         raise OutOfRange("the level sum only takes positive values")
     e1 = as_mpf(side.e1)
-    lo_gap = e1 / 2
-    while spectral_sum(side, -e1 + lo_gap) < target:
-        lo_gap /= 4
-        if lo_gap < mpf(10) ** (-(mp.dps - 3)):
-            raise OutOfRange("target beyond the pole-side range")
-    hi = mpf(1)
-    while spectral_sum(side, hi) > target:
-        hi *= 4
-        if hi > mpf("1e40"):
-            raise OutOfRange("target below the large-z range")
-    res = find_root_bracketed(lambda z: spectral_sum(side, z) - target,
-                              -e1 + lo_gap, hi, policy)
-    return res.root
+    lo = 1 / target - e1
+    hi = max(2 / target, (mp.pi / target) ** 2)
+    pad = mpf(10) ** (4 - mp.dps)
+    lo, hi = lo - pad * max(1, abs(lo)), hi + pad * max(1, abs(hi))
+    if not lo > -e1:
+        raise OutOfRange("target beyond the pole-side range")
+    return lo, hi
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +163,8 @@ def solve_scaled_alpha(side: WellSide, N: int, t, method: str = "exact_S_solve",
 
     Methods:
 
-    * ``exact_S_solve`` - numerical root of S_side(z) = N/t (either side);
+    * ``exact_S_solve`` - numerical root of S_side(z) = N/t (either side)
+      between the closed-form ends of :func:`_solve_ends`;
     * ``series_inversion`` - minus side, quadratic inversion around the
       alpha = 0 crossing: z = (5/2) d + (5 pi^2/28) d^2, d = t/N - 6/pi^2;
     * ``tanh_saturation`` - plus side, saturated tanh: z = (pi^2/4)(t/N)^2;
@@ -176,7 +179,10 @@ def solve_scaled_alpha(side: WellSide, N: int, t, method: str = "exact_S_solve",
             raise ValueError("need t > 0 and N >= 1")
         w = t / N
         if method == "exact_S_solve":
-            z = _solve_exact(side, N / t, policy)
+            target = N / t  # S is strictly decreasing
+            lo, hi = _solve_ends(side, target)
+            z = find_root_bracketed(lambda x: spectral_sum(side, x) - target,
+                                    lo, hi, policy).root
         elif method == "series_inversion":
             if side is not W_MINUS and side.side != "minus":
                 raise ValueError("series_inversion applies to the minus side")
@@ -286,8 +292,11 @@ def medium_error_integral_constants(policy: PrecisionPolicy = DEFAULT_POLICY):
 
     Integrals over [0, inf) of the two defect integrands; they multiply t
     and alpha in the error estimate of the classical-occupancy constraint.
+    The integrands fall off only like 1/y^2 and 1/y^4, so the quadrature
+    runs to infinity with no cut.
     """
     with mp.workdps(policy.dps):
-        first = quad_semi_infinite(occupancy_defect_integrand, policy)
-        second = quad_semi_infinite(occupancy_defect_slope_integrand, policy)
+        points = [0, 1, 2, 4, 8, 16, 64, mp.inf]
+        first = quad_semi_infinite(occupancy_defect_integrand, points, policy)
+        second = quad_semi_infinite(occupancy_defect_slope_integrand, points, policy)
         return first, second

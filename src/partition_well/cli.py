@@ -498,6 +498,10 @@ def _run(args, cfg: RunConfig, stream) -> int:
             names.extend(x for x in part.split(",") if x)
         return _run_compare(cfg, names, stream)
     if args.command == "report":
+        if args.window is not None and args.kind not in ("minimum", "inflections"):
+            raise UsageError("--window applies only to --kind minimum or inflections")
+        if args.t_value is not None and args.kind != "equilibrium_shift":
+            raise UsageError("--t-value applies only to --kind equilibrium_shift")
         window = None if args.window is None else _parse_window(args.window)
         return _run_report(cfg, args.kind, args.t_value, window, stream)
     raise UsageError(f"unknown command {args.command!r}")

@@ -19,9 +19,11 @@ one pair: a single quadrature of the complex integrand s - i s (1 - s), so
 the occupancy s(y) = 1/(exp(alpha + y^2) + 1) is computed once per node for
 both.  Once the Fermi edge y = sqrt(-alpha) lies beyond y = 4, the
 quadrature adds breakpoints at the edge and a few edge widths
-1/sqrt(-alpha) around it.  alpha(N, t) inverts I(alpha) = N/sqrt(t)
-by safeguarded Newton steps on (I - N/sqrt(t), I'), one pair per step,
-between ends taken in closed form from bounds on I.
+1/sqrt(-alpha) around it.  It stops at a cut past which a Gaussian
+envelope of the integrand proves the tail below a quarter of the target.
+alpha(N, t) inverts I(alpha) = N/sqrt(t) by safeguarded Newton steps on
+(I - N/sqrt(t), I'), one pair per step, between ends taken in closed form
+from bounds on I; the tanh surrogate's lower end is closed-form as well.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .numerics import DEFAULT_POLICY, PrecisionPolicy, find_root_bracketed, \
-    golden_section_minimum, quad_semi_infinite
+    gaussian_tail_upper_bound, golden_section_minimum, quad_semi_infinite
 
 __all__ = [
     "FermiIntegralValue",
@@ -82,6 +84,31 @@ def _check_variant(alpha, variant: str, pure_series_derivative: bool):
 _EDGE_MIN = 4
 
 
+def _pair_points(alpha: mpf, policy: PrecisionPolicy) -> list:
+    """Breakpoints of the paired quadrature, ending in a proven cut.
+
+    With y0 = 0, or y0 = sqrt(-alpha) once the Fermi edge lies beyond y = 4,
+    they are 0 and y0 + 1, 2, 4, ... below the cut and, at the edge, y0 and
+    y0 -+ w 2^k (k = 0..5, w = 1/y0).  The integrand obeys |s - i s (1 - s)|
+    <= sqrt(2) s < sqrt(2) e^(-alpha - y^2), and y^2 >= y0^2 + u^2 at
+    y = y0 + u, so it lies below c e^(-u^2) with c = sqrt(2) e^(-alpha - y0^2).
+    The cut is y0 + u for the first u in 12, 18, 27, ... with
+    c gaussian_tail_upper_bound(u) <= target/4.
+    """
+    y0 = mp.sqrt(-alpha) if alpha < -_EDGE_MIN ** 2 else mpf(0)
+    c = mp.sqrt(2) * mp.exp(-alpha - y0 ** 2)
+    u = mpf(12)
+    while c * gaussian_tail_upper_bound(u) > mpf(policy.target_abs_error) / 4:
+        u *= mpf("1.5")
+    grid = [y0 + 2 ** k for k in range(int(mp.log(u, 2)) + 1)]  # 2^k < u
+    if y0:
+        w = 1 / y0
+        steps = [w * 2 ** k for k in range(6)]
+        grid = sorted([y0 - s for s in steps if s < y0] + [y0]
+                      + [y0 + s for s in steps] + grid)
+    return [mpf(0)] + grid + [y0 + u]
+
+
 def _quad_pair(alpha: mpf, policy: PrecisionPolicy):
     """(I, I') from one quadrature of the complex integrand s - i s (1 - s).
 
@@ -92,11 +119,7 @@ def _quad_pair(alpha: mpf, policy: PrecisionPolicy):
         s = 1 / (mp.exp(alpha + y * y) + 1)
         return mpc(s, -s * (1 - s))
 
-    edge = None
-    if alpha < -_EDGE_MIN ** 2:
-        y0 = mp.sqrt(-alpha)
-        edge = (y0, 1 / y0)
-    v = quad_semi_infinite(integrand, policy, edge)
+    v = quad_semi_infinite(integrand, _pair_points(alpha, policy), policy)
     return v.real, v.imag
 
 
@@ -230,9 +253,10 @@ def alpha_from_temperature(N: int, t, variant: str = "quadrature",
     k^2 t) identically.  The quadrature route takes safeguarded Newton steps
     on (I - N/sqrt(t), I'), one paired evaluation per step, inside the
     closed-form ends of :func:`fermi_integral_ends`; it reaches every
-    positive target.  The other variants bracket on their monotone domain
-    and raise :class:`VariantDomainError` when the target is not reachable
-    there.
+    positive target.  The other variants take secant steps on their
+    monotone domain (the surrogate's from alpha = -0.7 down to the closed
+    lower end -(5 N/(4 sqrt(t)))^2) and raise :class:`VariantDomainError`
+    when the target lies outside it.
     """
     with mp.workdps(policy.dps):
         t = mpf(t)
@@ -260,11 +284,9 @@ def alpha_from_temperature(N: int, t, variant: str = "quadrature",
             if target < I(hi):
                 raise VariantDomainError(
                     "N/sqrt(t) below the reachable surrogate values")
-            lo = hi - 1
-            while I(lo) < target:
-                lo = 2 * lo
-                if lo < mpf("-1e9"):
-                    raise VariantDomainError("target not reachable")
+            # for alpha <= -0.7, p = (1 + e^(2 alpha))/(1 + e^alpha) >=
+            # 2 sqrt(2) - 2 > 4/5, so I > p sqrt(-alpha) > (4/5) sqrt(-alpha)
+            lo = min(hi - 1, -(5 * target / 4) ** 2)
         res = find_root_bracketed(lambda a: I(a) - target, lo, hi, policy)
         return res.root
 

@@ -10,8 +10,8 @@ different level ladders:
 in units of the level energy scale ``E_unit = (hbar^2/2m) (pi/l)^2`` of a
 half well of width ``l``.  Everything downstream works in reduced units
 (reduced temperature ``t = k_B T / E_unit`` and the dimensionless force per
-spin state); :class:`PhysicalConfig` exists to convert to SI at the CLI
-boundary.
+spin state).  The CLI works in reduced units only; :class:`PhysicalConfig`
+converts to SI for library callers.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ here supply the rest:
   safeguarded Newton, with the function's derivative when it returns one
   and a secant slope otherwise.
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
-  tail integral, used whenever a dropped sum is replaced by an integral.
-* :func:`quad_semi_infinite` - adaptive quadrature on [0, inf).
+  tail integral, used wherever a dropped sum or integral tail is bounded.
+* :func:`quad_semi_infinite` - adaptive quadrature over breakpoints that
+  end at ``inf`` or at a cut whose tail the caller has bounded.
 * :func:`golden_section_minimum` - golden-section search for the minimum of
   a unimodal function, at the caller's precision.
 
@@ -20,7 +21,6 @@ supplied :class:`PrecisionPolicy`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -43,6 +43,8 @@ __all__ = [
 
 # extra decimal digits carried internally beyond the policy's working digits
 GUARD_DIGITS = 10
+# each escalation multiplies the working digits by this, up to max_digits
+ESCALATION_FACTOR = 2
 
 
 class NoSignChange(ValueError):
@@ -72,7 +74,6 @@ class PrecisionPolicy:
 
     working_digits: int = 30
     max_digits: int = 120
-    escalation_factor: float = 2.0
     target_abs_error: float = 1e-12
     target_rel_error: float = 1e-12
     max_iterations: int = 240
@@ -82,8 +83,6 @@ class PrecisionPolicy:
             raise ValueError("working_digits must be at least 20")
         if self.working_digits > self.max_digits:
             raise ValueError("working_digits must not exceed max_digits")
-        if not self.escalation_factor > 1:
-            raise ValueError("escalation_factor must exceed 1")
         if not (self.target_abs_error > 0 and self.target_rel_error > 0):
             raise ValueError("error targets must be positive")
 
@@ -97,8 +96,8 @@ class PrecisionPolicy:
         if self.working_digits >= self.max_digits:
             raise PrecisionExhausted(
                 f"cannot escalate beyond max_digits={self.max_digits}")
-        digits = min(self.max_digits, math.ceil(self.working_digits * self.escalation_factor))
-        return replace(self, working_digits=max(digits, self.working_digits + 1))
+        return replace(self, working_digits=min(
+            self.max_digits, self.working_digits * ESCALATION_FACTOR))
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -219,82 +218,31 @@ def gaussian_tail_upper_bound(y_trunc) -> mpf:
     return mp.exp(-y * y) * min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
 
 
-def quad_semi_infinite(integrand: Callable,
-                       policy: PrecisionPolicy = DEFAULT_POLICY,
-                       edge=None):
-    """Integrate a decaying integrand over [0, inf) to ``target_abs_error``.
+def quad_semi_infinite(integrand: Callable, points,
+                       policy: PrecisionPolicy = DEFAULT_POLICY):
+    """Integrate over the caller's breakpoints ``points`` to ``target_abs_error``.
 
-    Probes the decay beyond y = 8.  Gaussian-like integrands are cut at a
-    point where the certified envelope tail (via
-    :func:`gaussian_tail_upper_bound`) is negligible; slower decaying ones
-    are handed to the variable-transformed infinite-interval rule.  Raises
-    :class:`NonConvergent` when the quadrature error estimate stays above
-    the target.  A complex-valued integrand has its real and imaginary parts
+    The first point is the lower limit and the last is ``inf`` or a cut.  A
+    cut is the caller's claim, proven from a bound on the integrand, that
+    the integral beyond it is below target/4 in magnitude; that bound is
+    added to the quadrature's error estimate.  Raises :class:`NonConvergent`
+    when the estimate stays above the target after one retry at higher
+    degree.  A complex-valued integrand has its real and imaginary parts
     integrated on the same nodes.
-
-    ``edge = (y0, w)`` marks a step of width ``w`` at ``y0`` that the fixed
-    breakpoints 0, 1, 2, 4, 8, ... would miss.  The breakpoints then sit at
-    y0, y0 -+ w 2^k (k = 0..5) and y0 + 1, 2, 4, ..., and the decay is probed
-    on the shifted integrand f(y0 + u), so the cut lies the same distance
-    past the edge as it would past 0.
     """
     with mp.workdps(policy.dps):
         target = mpf(policy.target_abs_error)
         f = lambda y: mp.mpmathify(integrand(y))
-
-        if edge is None:
-            start = mpf(0)
-            grid = [mpf(1), mpf(2), mpf(4)] + [mpf(8) * 2 ** k for k in range(20)]
-        else:
-            start, w = map(mpf, edge)
-            steps = [w * 2 ** k for k in range(6)]
-            grid = sorted([start - s for s in steps if s < start] + [start]
-                          + [start + s for s in steps + [mpf(2) ** k for k in range(20)]])
-        cut = _gaussian_cutoff(lambda u: f(start + u), target)
-        if cut is not None:
-            cut += start
-            points = [mpf(0)] + [p for p in grid if p < cut] + [cut]
-            val, err = mp.quad(f, points, error=True)
-            err = err + target / 4  # tail certificate folded into the estimate
-        else:
-            points = [mpf(0)] + [p for p in grid if p <= start + 16]
-            points += [start + 64, mp.inf]
-            val, err = mp.quad(f, points, error=True)
-        if err > target and err > abs(val) * mpf(policy.target_rel_error):
-            # one retry at higher degree before giving up
-            val, err = mp.quad(f, points, error=True, maxdegree=10)
-            if err > target and err > abs(val) * mpf(policy.target_rel_error):
-                raise NonConvergent(
-                    f"quadrature error estimate {mp.nstr(err, 4)} above target "
-                    f"{policy.target_abs_error}")
-        return val
-
-
-def _gaussian_cutoff(f, target):
-    """Cutoff Y with a certified Gaussian tail below target/4, else None."""
-    y1, y2 = mpf(8), mpf(12)
-    f1, f2 = abs(f(y1)), abs(f(y2))
-    if f1 == 0 and f2 == 0:
-        # treat an identically-vanishing tail as already cut
-        return mpf(16)
-    if f2 >= f1 or f1 == 0 or f2 == 0:
-        return None
-    lam = mp.log(f1 / f2) / (y2 ** 2 - y1 ** 2)
-    if lam < mpf("0.2"):
-        return None  # decay too slow to certify a Gaussian envelope
-    lam = lam / mpf("1.1")
-    c = mpf("1.1") * f1 * mp.exp(lam * y1 ** 2)
-    y = y2
-    for _ in range(40):
-        # envelope must keep holding at the candidate cut
-        if abs(f(y)) > c * mp.exp(-lam * y * y):
-            return None
-        tail = c / mp.sqrt(lam) * gaussian_tail_upper_bound(mp.sqrt(lam) * y)
-        if tail <= target / 4:
-            return y
-        y = y * mpf("1.5")
-    return None
-
+        points = [mpf(p) for p in points]
+        tail = 0 if points[-1] == mp.inf else target / 4
+        for maxdegree in (None, 10):  # one retry at higher degree before giving up
+            val, err = mp.quad(f, points, error=True, maxdegree=maxdegree)
+            err += tail
+            if err <= target or err <= abs(val) * mpf(policy.target_rel_error):
+                return val
+        raise NonConvergent(
+            f"quadrature error estimate {mp.nstr(err, 4)} above target "
+            f"{policy.target_abs_error}")
 
 
 def golden_section_minimum(func: Callable, lo, hi, width):

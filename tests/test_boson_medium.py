@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from partition_well import boson_medium
@@ -14,7 +15,8 @@ from partition_well.boson_medium import (
     spectral_sum,
     tanh_pade,
 )
-from partition_well.model import BOSON, W_MINUS, W_PLUS
+from partition_well.model import BOSON, W_MINUS, W_PLUS, as_mpf
+from partition_well.numerics import DEFAULT_POLICY
 from partition_well.oracle import locate_minimum, net_force, solve_alpha
 
 
@@ -75,16 +77,44 @@ class TestScaledAlphaSolve:
         assert abs(exact.t_alpha - approx.t_alpha) < mpf("2e-3")
 
     @pytest.mark.parametrize("side,N,t,evaluations", [
-        (W_PLUS, 10, 2, 12), (W_PLUS, 10, 30, 12), (W_PLUS, 10, 1000, 12),
-        (W_PLUS, 100, 55, 11),
-        (W_MINUS, 10, 2, 13), (W_MINUS, 10, 30, 12), (W_MINUS, 10, 1000, 12),
+        (W_PLUS, 10, 2, 10), (W_PLUS, 10, 30, 12), (W_PLUS, 10, 1000, 12),
+        (W_PLUS, 100, 55, 12),
+        (W_MINUS, 10, 2, 12), (W_MINUS, 10, 30, 12), (W_MINUS, 10, 1000, 12),
         (W_MINUS, 100, 55, 11),
+        # N/t = 1e-20, beyond the reach of the former bracket search
+        (W_PLUS, 1, 1e20, 9), (W_MINUS, 1, 1e20, 9),
     ])
-    def test_exact_solve_evaluations(self, side, N, t, evaluations, root_evaluations):
-        # safeguarded steps on the secant slope of the last two iterates
-        evals = root_evaluations(boson_medium)
+    def test_exact_solve_evaluations(self, side, N, t, evaluations, monkeypatch):
+        # every level-sum evaluation of the solve counts: the bracket ends
+        # are closed forms, and the steps use the secant slope of the last
+        # two iterates
+        calls = []
+        S = boson_medium.spectral_sum
+
+        def counting_sum(*args):
+            calls.append(1)
+            return S(*args)
+
+        monkeypatch.setattr(boson_medium, "spectral_sum", counting_sum)
         solve_scaled_alpha(side, N, t, "exact_S_solve")
-        assert evals == [evaluations]
+        assert len(calls) == evaluations
+
+    @settings(max_examples=40, deadline=None)
+    @given(side=st.sampled_from([W_PLUS, W_MINUS]), log10_target=st.floats(-30, 30))
+    @example(side=W_PLUS, log10_target=30.0)
+    @example(side=W_MINUS, log10_target=-30.0)
+    def test_ends_straddle_the_root(self, side, log10_target):
+        with mp.workdps(DEFAULT_POLICY.dps):
+            target = mpf(10) ** log10_target
+            lo, hi = boson_medium._solve_ends(side, target)
+            assert lo > -as_mpf(side.e1)
+            assert spectral_sum(side, lo) > target > spectral_sum(side, hi)
+
+    def test_pole_side_target_out_of_range(self):
+        # the padded lower end 1/target - e_1 would reach the pole
+        with mp.workdps(DEFAULT_POLICY.dps):
+            with pytest.raises(OutOfRange):
+                boson_medium._solve_ends(W_MINUS, mpf(10) ** (DEFAULT_POLICY.dps - 3))
 
     def test_method_side_restrictions(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,22 @@ class TestExitCodes:
                         "--window", window]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("kind", ["equilibrium_shift", "transfer", "zero_t"])
+    def test_window_outside_searches_usage_error(self, kind, capsys):
+        assert run_cli(["report", "--kind", kind, "--stat", "boson", "--N", "3",
+                        "--window", "1:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --window")
+
+    @pytest.mark.parametrize("kind", ["minimum", "inflections", "transfer", "zero_t"])
+    def test_t_value_outside_shift_usage_error(self, kind, capsys):
+        assert run_cli(["report", "--kind", kind, "--stat", "fermion", "--N", "3",
+                        "--t-value", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --t-value")
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, jobs, capsys):
         assert run_cli(["curve", "--N", "2", "--t", "1:2:2:log", "--jobs", jobs]) == 2

@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from partition_well import fermion_medium
 from partition_well.fermion_medium import (
@@ -16,7 +16,8 @@ from partition_well.fermion_medium import (
     tanh_surrogate_quadratic,
 )
 from partition_well.model import FERMION, W_MINUS, W_PLUS
-from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS
+from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy, \
+    gaussian_tail_upper_bound
 from partition_well.oracle import net_force, solve_alpha
 
 
@@ -155,6 +156,47 @@ class TestClosedFormEnds:
                 F = mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
                 assert x * F < fermion_medium._DAWSON_X_MAX
                 assert F < fermion_medium._DAWSON_MAX
+
+    def test_surrogate_lower_end(self):
+        # p = (1 + E^2)/(1 + E), E = e^alpha, is least at E = sqrt(2) - 1,
+        # where it is 2 sqrt(2) - 2 > 4/5; so I > (4/5) sqrt(-alpha) on
+        # alpha <= -0.7 and the surrogate exceeds the target at the lower
+        # end -(5 target/4)^2
+        with mp.workdps(DEFAULT_POLICY.dps):
+            assert 2 * mp.sqrt(2) - 2 > mpf(4) / 5
+            for k in range(401):
+                alpha = -mpf("0.7") - mpf(k) / 20
+                assert fermion_medium._surrogate_pieces(alpha)[0] > mpf(4) / 5
+            for k in range(41):
+                target = mpf(10) ** (mpf(k) / 10)
+                assert fermi_integral(-(5 * target / 4) ** 2, "tanh_surrogate").I > target
+
+
+class TestPairCut:
+    """The paired Fermi quadrature ends at a cut whose tail is proven small."""
+
+    @pytest.mark.parametrize("target,u_cut", [(1e-12, 12), (1e-100, 18)])
+    @pytest.mark.parametrize("alpha", ["30", "0", "-2.5", "-16", "-16.5", "-324", "-900"])
+    def test_envelope_and_cut_tail(self, alpha, target, u_cut):
+        policy = PrecisionPolicy(target_abs_error=target)
+        with mp.workdps(policy.dps):
+            alpha = mpf(alpha)
+            points = fermion_medium._pair_points(alpha, policy)
+            # the cut lies u past the Fermi edge once that lies beyond y = 4
+            y0 = mp.sqrt(-alpha) if alpha < -16 else mpf(0)
+            assert points == sorted(points) and points[-1] == y0 + u_cut
+
+            def size(y):
+                s = 1 / (mp.exp(alpha + y * y) + 1)
+                return abs(mpc(s, -s * (1 - s)))
+
+            # |s - i s (1 - s)| <= c e^(-u^2) at y = y0 + u, up to rounding
+            c = mp.sqrt(2) * mp.exp(-alpha - y0 ** 2)
+            for k in range(241):
+                u = mpf(k) / 8
+                assert size(y0 + u) <= c * mp.exp(-u * u) * (1 + mpf(10) ** (5 - mp.dps))
+            assert c * gaussian_tail_upper_bound(u_cut) <= mpf(target) / 4
+            assert mp.quad(size, [points[-1], mp.inf]) <= mpf(target) / 4
 
 
 class TestForceKernel:

@@ -7,6 +7,7 @@ from partition_well.numerics import (
     GUARD_DIGITS,
     MaxIterations,
     NoSignChange,
+    NonConvergent,
     PrecisionExhausted,
     PrecisionPolicy,
     find_root_bracketed,
@@ -22,8 +23,6 @@ class TestPolicy:
             PrecisionPolicy(working_digits=10)
         with pytest.raises(ValueError):
             PrecisionPolicy(working_digits=50, max_digits=40)
-        with pytest.raises(ValueError):
-            PrecisionPolicy(escalation_factor=1.0)
 
     def test_escalation_strictly_increases(self):
         p = PrecisionPolicy(working_digits=30, max_digits=70)
@@ -186,12 +185,16 @@ class TestGaussianTail:
 
 
 class TestQuadSemiInfinite:
+    # e^(-y^2) and 1/(e^(y^2) + 1) have tails below gaussian_tail_upper_bound(12)
+    # < 1e-64 beyond this cut, far below target/4
+    GAUSSIAN_POINTS = [0, 1, 2, 4, 8, 12]
+
     def test_gaussian(self):
-        val = quad_semi_infinite(lambda y: mp.e ** (-y * y))
+        val = quad_semi_infinite(lambda y: mp.e ** (-y * y), self.GAUSSIAN_POINTS)
         assert abs(val - mp.sqrt(mp.pi) / 2) < 1e-12
 
     def test_fermi_integrand_at_zero(self):
-        val = quad_semi_infinite(lambda y: 1 / (mp.e ** (y * y) + 1))
+        val = quad_semi_infinite(lambda y: 1 / (mp.e ** (y * y) + 1), self.GAUSSIAN_POINTS)
         # alternating-series oracle: sum_k (-1)^{k+1} sqrt(pi/(4k)), summed
         # to a midpoint of consecutive partial sums
         import math
@@ -204,12 +207,25 @@ class TestQuadSemiInfinite:
 
     def test_power_law_tail(self):
         # integrand ~ 1/y^2 at infinity still integrates correctly
-        val = quad_semi_infinite(lambda y: 1 / (1 + y * y))
+        val = quad_semi_infinite(lambda y: 1 / (1 + y * y), [0, 1, 2, 4, 8, 16, 64, mp.inf])
         assert abs(val - mp.pi / 2) < 1e-12
 
     @pytest.mark.parametrize("a, k", [(20, 40), (150, 300)])
     def test_step_at_marked_edge(self, a, k):
-        # integral_0^inf dy / (exp(k (y - a)) + 1) = a + log(1 + e^(-k a))/k
-        val = quad_semi_infinite(lambda y: 1 / (mp.exp(k * (y - a)) + 1),
-                                 edge=(a, mpf(1) / k))
+        # integral_0^inf dy / (exp(k (y - a)) + 1) = a + log(1 + e^(-k a))/k;
+        # breakpoints at the step, 2^j/k around it and a + 1, and a cut at
+        # a + 2, beyond which the integrand is below e^(-k (y - a)): its
+        # tail is below e^(-2 k)/k
+        steps = [mpf(2) ** j / k for j in range(6)]
+        points = sorted([0] + [a + s for s in steps] + [a - s for s in steps]
+                        + [a, a + 1, a + 2])
+        val = quad_semi_infinite(lambda y: 1 / (mp.exp(k * (y - a)) + 1), points)
         assert abs(val - (a + mp.log1p(mp.exp(-k * a)) / k)) < 1e-20
+
+    def test_non_convergent_reported(self):
+        # the square-root kink at y = 1/3 lies inside an interval, and a
+        # target near the working precision is out of reach
+        policy = PrecisionPolicy(target_abs_error=1e-25, target_rel_error=1e-25)
+        with pytest.raises(NonConvergent):
+            quad_semi_infinite(lambda y: mp.sqrt(abs(y - mpf(1) / 3)) * mp.exp(-y),
+                               [0, 1, mp.inf], policy)

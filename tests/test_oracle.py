@@ -71,8 +71,7 @@ class TestSolveAlpha:
     def test_precision_ceiling_reported(self):
         # an iteration budget too small to converge escalates until the
         # digit ceiling and then reports it
-        policy = PrecisionPolicy(working_digits=20, max_digits=22,
-                                 escalation_factor=1.1, max_iterations=4)
+        policy = PrecisionPolicy(working_digits=20, max_digits=22, max_iterations=4)
         with pytest.raises(PrecisionExhausted):
             solve_alpha(BOSON, W_MINUS, 100, 13.0, policy)
 
