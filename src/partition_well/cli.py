@@ -381,20 +381,23 @@ def _run_report(cfg: RunConfig, kind: str, t_value, window, out_stream) -> int:
         record.update(f_plus=str(zt.f_plus), f_minus=str(zt.f_minus),
                       delta_f=str(zt.delta_f), method="exact_rational")
     elif kind == "minimum":
-        t_min, df_min = oracle.locate_minimum(stat, N, policy, window)
-        record.update(t_min=_fmt(t_min, d), delta_f_min=_fmt(df_min, d),
+        t_min, df_min, t_err = oracle.locate_minimum(stat, N, policy, window)
+        record.update(t_min=_fmt(t_min, d), t_min_error=_fmt(t_err, d),
+                      delta_f_min=_fmt(df_min, d),
                       t_min_over_scale=_fmt(t_min / scale, d),
                       delta_f_min_over_scale=_fmt(df_min / scale, d),
-                      method="golden_section_log_t",
-                      t_relative_precision="1e-3")
+                      method="derivative_root_log_t",
+                      t_relative_precision="1e-8")
     elif kind == "inflections":
         if stat.is_boson:
             raise UsageError("inflections require --stat fermion")
-        t_begin, t_end = oracle.locate_inflections(stat, N, policy, window)
-        record.update(t_begin=_fmt(t_begin, d), t_end=_fmt(t_end, d),
-                      t_begin_over_N=_fmt(t_begin / N, d),
-                      t_end_over_N=_fmt(t_end / N, d),
-                      method="second_finite_difference")
+        found = oracle.locate_inflections(stat, N, policy, window)
+        record.update(t_begin=_fmt(found.t_begin, d),
+                      t_begin_error=_fmt(found.t_begin_error, d),
+                      t_end=_fmt(found.t_end, d), t_end_error=_fmt(found.t_end_error, d),
+                      t_begin_over_N=_fmt(found.t_begin / N, d),
+                      t_end_over_N=_fmt(found.t_end / N, d),
+                      method="curvature_sign_root_log_t")
     elif kind == "equilibrium_shift":
         if t_value is None:
             res = equilibrium.shift_zero_temperature(stat, N)

@@ -80,7 +80,12 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
 
     Each side's reduced force is re-evaluated by the exact oracle at its
     rescaled reduced temperature t (1 -+ xi)^2 and weighted by the geometric
-    factor (1 -+ xi)^{-3}; the root in xi is bracketed on (0, 1).
+    factor (1 -+ xi)^{-3}; the root in xi is bracketed on (0, 1) by
+    overshooting Newton steps from xi = 0 and found by safeguarded Newton,
+    its slope from each side's df/dt:
+
+        B'(xi) = [2 t f_-'/(1 + xi)^2 - 3 f_-/(1 + xi)^4
+                  + 2 t f_+'/(1 - xi)^2 - 3 f_+/(1 - xi)^4] / scale.
     """
     t = mpf(t)
     if not t > 0:
@@ -91,28 +96,40 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
         def forces(xi):
             # the bracket ends are also the root finder's end points
             if xi not in memo:
-                f_m, _ = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2, policy)
-                f_p, _ = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2, policy)
-                memo[xi] = f_m, f_p
+                f_m, _, (df_m, _) = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2,
+                                                      policy, derivatives=1)
+                f_p, _, (df_p, _) = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2,
+                                                      policy, derivatives=1)
+                memo[xi] = f_m, f_p, df_m, df_p
             return memo[xi]
 
-        scale = sum(forces(mpf(0)))
+        scale = sum(forces(mpf(0))[:2])
 
         def balance(xi):
-            f_m, f_p = forces(xi)
-            return (f_m / (1 + xi) ** 3 - f_p / (1 - xi) ** 3) / scale
+            f_m, f_p, df_m, df_p = forces(xi)
+            wide, narrow = 1 + xi, 1 - xi
+            return ((f_m / wide ** 3 - f_p / narrow ** 3) / scale,
+                    (2 * t * df_m / wide ** 2 - 3 * f_m / wide ** 4
+                     + 2 * t * df_p / narrow ** 2 - 3 * f_p / narrow ** 4) / scale)
 
-        lo = mpf(0)  # balance(0) = delta_f / scale > 0
-        hi = mpf("0.5")
-        while balance(hi) > 0:
-            lo = hi
-            hi = (1 + hi) / 2
-            if 1 - hi < mpf("1e-9"):
+        # the upper end: a quarter beyond each Newton step from xi = 0, where
+        # balance(0) = delta_f / scale > 0, until the balance turns negative
+        lo, hi = mpf(0), None
+        value, slope = balance(lo)
+        while hi is None:
+            step = -value / slope * 5 / 4 if slope < 0 else mp.inf
+            x = lo + min(step, (1 - lo) / 2)
+            if 1 - x < mpf("1e-9"):
                 raise oracle.BracketFailure("no force balance found below xi = 1")
+            v, dv = balance(x)
+            if v > 0:
+                lo, value, slope = x, v, dv
+            else:
+                hi = x
         root_policy = policy if policy.target_abs_error <= 1e-7 \
             else replace(policy, target_abs_error=1e-8)
-        xi = find_root_bracketed(balance, lo, hi, root_policy).root
-        f_m, f_p = forces(xi)
+        xi = find_root_bracketed(balance, lo, hi, root_policy, derivative=True).root
+        f_m, f_p = forces(xi)[:2]
         return ShiftResult(xi, (f_m / f_p) ** (mpf(1) / 3), t, "finite_t_solve")
 
 

@@ -138,7 +138,10 @@ def find_root_bracketed(func: Callable, lo, hi,
     The search terminates once the residual is below ``target_abs_error``
     and the bracket width is below ``max(target_abs_error, |root| *
     target_rel_error)``.  Every call of ``func`` counts in ``evaluations``
-    and against ``max_iterations``.
+    and against ``max_iterations``.  A bracket that collapses to adjacent
+    floats while |g| is still above ``target_abs_error`` raises
+    :class:`MaxIterations`, as an exhausted budget does: no iterate is
+    returned with a residual above target.
 
     Deterministic: identical inputs and policy produce identical output.
     """
@@ -182,7 +185,11 @@ def find_root_bracketed(func: Callable, lo, hi,
             else:
                 nxt = (a + b) / 2
                 if not a < nxt < b:  # bracket collapsed to adjacent floats
-                    return RootResult(x, fx, b - a, evals)
+                    if abs(fx) <= ftol:
+                        return RootResult(x, fx, b - a, evals)
+                    raise MaxIterations(
+                        f"bracket collapsed at {mp.nstr(x, 8)} with residual "
+                        f"{mp.nstr(fx, 6)} above {policy.target_abs_error}")
             dx, dx_old = abs(nxt - x), dx
             if derivative:
                 fn, dfn = map(mpf, func(nxt))

@@ -50,12 +50,18 @@ certified error, and per stride the ratios of successive point weights
 e^(-b y_j^2) and the Gaussian tail bound after each point.  A level sum at
 a new alpha then costs two exponentials and multiplications.  The table is
 dropped when the solve returns; nothing is cached across solves.
+
+Asked for ``derivatives``, a solve adds df/dt and d^2f/dt^2 of its side,
+each with a certified bound, from a second pass over the final
+evaluation's points (:mod:`.derivatives`).  The searches find the roots of
+these derivatives where their signs are certified, and return each
+location with a half-width whose ends carry opposite certified signs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,12 +77,13 @@ from .numerics import (
     PrecisionPolicy,
     find_root_bracketed,
     gaussian_tail_upper_bound,
-    golden_section_minimum,
 )
 
 __all__ = [
     "OccupancySolution",
     "CurvePoint",
+    "Minimum",
+    "Inflections",
     "BracketFailure",
     "NotUnimodal",
     "StepNotFound",
@@ -144,6 +151,30 @@ class CurvePoint:
     f_minus: mpf
     delta_f: mpf
     delta_f_error: mpf
+    # filled by net_force(..., derivatives=1 or 2) only
+    d_delta_f_dt: mpf = None
+    d_delta_f_dt_error: mpf = None
+    d2_delta_f_dt2: mpf = None
+    d2_delta_f_dt2_error: mpf = None
+
+
+class Minimum(NamedTuple):
+    """The minimiser of the net force, certified to lie within
+    ``t_min -+ t_min_error``, and the net force there."""
+
+    t_min: mpf
+    delta_f_min: mpf
+    t_min_error: mpf
+
+
+class Inflections(NamedTuple):
+    """The two inflection temperatures of the fermionic step, each certified
+    to lie within its value -+ its error."""
+
+    t_begin: mpf
+    t_end: mpf
+    t_begin_error: mpf
+    t_end_error: mpf
 
 
 class _LevelSums(NamedTuple):
@@ -512,21 +543,22 @@ def solve_alpha(stat: Statistics, side: WellSide, N: int, t,
     precision escalates (up to ``max_digits``) if the tolerance cannot be
     met at the working precision.
     """
-    sol, _ = _solve_side(stat, side, N, t, policy)
-    return sol
+    return _solve_side(stat, side, N, t, policy)[0]
 
 
 def _solve_side(stat: Statistics, side: WellSide, N: int, t,
-                policy: PrecisionPolicy):
+                policy: PrecisionPolicy, derivatives: int = 0):
     # every oracle entry point solves through here
     if not (isinstance(N, int) and N >= 1):
         raise ValueError("N must be a positive integer")
+    if derivatives not in (0, 1, 2):
+        raise ValueError("derivatives must be 0, 1 or 2")
     t = mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
     while True:
         try:
-            return _solve_side_at(stat, side, N, t, policy)
+            return _solve_side_at(stat, side, N, t, policy, derivatives)
         except (MaxIterations, _SlopeLost):
             policy = policy.escalate()  # raises PrecisionExhausted at the cap
 
@@ -539,7 +571,10 @@ def _sum_target(policy: PrecisionPolicy, b: mpf) -> mpf:
 
 
 def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
-                   policy: PrecisionPolicy):
+                   policy: PrecisionPolicy, derivatives: int = 0):
+    """(solution, (force, error, *derivative pairs)): one (value, bound)
+    pair per order of t-derivative asked for, from
+    :func:`.derivatives.side_derivatives`."""
     with mp.workdps(policy.dps):
         b = 1 / mpf(t)
         table = _LevelTable(stat, side, b, _sum_target(policy, b))
@@ -566,7 +601,12 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
         )
         # force error: truncation plus the sensitivity to the alpha residual
         f_err = sums.tail_force + (abs(sums.dforce) + sums.tail_dforce) * alpha_error
-        return sol, (sums.force, f_err)
+        force = (sums.force, f_err)
+        if derivatives:
+            # imported on first use: the curve and compare paths never load it
+            from .derivatives import side_derivatives
+            force += side_derivatives(table, root, sums, alpha_error, derivatives)
+        return sol, force
 
 
 def occupancy(stat: Statistics, side: WellSide, sol: OccupancySolution,
@@ -584,19 +624,25 @@ def occupancy(stat: Statistics, side: WellSide, sol: OccupancySolution,
 
 
 def force_side(stat: Statistics, side: WellSide, N: int, t,
-               policy: PrecisionPolicy = DEFAULT_POLICY):
-    """Reduced force of one half well: (value, certified error bound)."""
-    _, (f, err) = _solve_side(stat, side, N, t, policy)
-    return f, err
+               policy: PrecisionPolicy = DEFAULT_POLICY, derivatives: int = 0):
+    """Reduced force of one half well: (value, certified error bound), then
+    with ``derivatives`` = 1 or 2 one (value, bound) pair per order of
+    t-derivative: df/dt, then d^2f/dt^2."""
+    return _solve_side(stat, side, N, t, policy, derivatives)[1]
 
 
 def net_force(stat: Statistics, N: int, t,
-              policy: PrecisionPolicy = DEFAULT_POLICY) -> CurvePoint:
-    """Net reduced force on the partition at one temperature."""
-    sol_m, (f_m, err_m) = _solve_side(stat, W_MINUS, N, t, policy)
-    sol_p, (f_p, err_p) = _solve_side(stat, W_PLUS, N, t, policy)
+              policy: PrecisionPolicy = DEFAULT_POLICY, derivatives: int = 0) -> CurvePoint:
+    """Net reduced force on the partition at one temperature; with
+    ``derivatives`` = 1 or 2 also d delta_f/dt, then d^2 delta_f/dt^2, each
+    with its certified bound."""
+    sol_m, (f_m, err_m, *d_m) = _solve_side(stat, W_MINUS, N, t, policy, derivatives)
+    sol_p, (f_p, err_p, *d_p) = _solve_side(stat, W_PLUS, N, t, policy, derivatives)
     t = mpf(t)
     with mp.workdps(policy.dps):
+        extra = {}
+        for name, (v_m, e_m), (v_p, e_p) in zip(("d_delta_f_dt", "d2_delta_f_dt2"), d_m, d_p):
+            extra[name], extra[name + "_error"] = v_m - v_p, e_m + e_p
         return CurvePoint(
             t=t,
             alpha_plus=sol_p.alpha,
@@ -605,6 +651,7 @@ def net_force(stat: Statistics, N: int, t,
             f_minus=f_m,
             delta_f=f_m - f_p,
             delta_f_error=err_m + err_p,
+            **extra,
         )
 
 
@@ -649,15 +696,77 @@ def sweep_curve(stat: Statistics, N: int, grid: Sequence,
     return results
 
 
+# the searches refine in x = log t to this width: a relative precision in t
+_SEARCH_LOG_T_TOL = 1e-8
+
+
+def _scaled_derivative(point: CurvePoint, order: int) -> tuple:
+    """(t^k d^k delta_f/dt^k, its bound) at k = ``order`` of a point that
+    :func:`net_force` evaluated with ``derivatives=2``."""
+    if order == 1:
+        return point.t * point.d_delta_f_dt, point.t * point.d_delta_f_dt_error
+    t2 = point.t * point.t
+    return t2 * point.d2_delta_f_dt2, t2 * point.d2_delta_f_dt2_error
+
+
+def _certified_sign(point: CurvePoint, order: int) -> int:
+    """+1 or -1 where the derivative of ``order`` exceeds its bound, else 0."""
+    value, bound = _scaled_derivative(point, order)
+    return (value > bound) - (value < -bound)
+
+
+def _refine_sign_change(stat: Statistics, N: int, policy: PrecisionPolicy,
+                        order: int, t_a: mpf, t_b: mpf, rising: bool, scale: mpf) -> tuple:
+    """Root of g(x) = t^k d^k delta_f/dt^k / ``scale`` (k = ``order``,
+    x = log t) between t_a < t_b, whose certified signs are -, + if
+    ``rising``, else +, -; refined to ``_SEARCH_LOG_T_TOL`` in x with the
+    slope t delta_f' + t^2 delta_f'' for k = 1 and secant slopes for k = 2.
+
+    Returns (t, delta_f at t, half-width): t is the evaluated point of least
+    |g|, and t -+ half-width covers the tightest bracket around it whose
+    ends carry certified opposite signs of g (t_a and t_b at worst).
+    """
+    seen = []
+
+    def g(x):
+        # positional (stat, N, t): wrappers of net_force read them as args[0..2]
+        point = net_force(stat, N, mp.exp(x), policy, derivatives=2)
+        seen.append(point)
+        value = _scaled_derivative(point, order)[0] / scale
+        if order == 2:
+            return value
+        return value, value + _scaled_derivative(point, 2)[0] / scale
+
+    find_root_bracketed(g, mp.log(t_a), mp.log(t_b),
+                        replace(policy, target_abs_error=_SEARCH_LOG_T_TOL),
+                        derivative=order == 1)
+    best = min(seen, key=lambda p: abs(_scaled_derivative(p, order)[0]))
+    left_sign = -1 if rising else 1
+    # t_a and t_b carry their certified signs from the caller's evaluations
+    t_left = max((p.t for p in seen
+                  if p.t <= best.t and _certified_sign(p, order) == left_sign), default=t_a)
+    t_right = min((p.t for p in seen
+                   if p.t >= best.t and _certified_sign(p, order) == -left_sign), default=t_b)
+    return best.t, best.delta_f, max(best.t - t_left, t_right - best.t)
+
+
 def locate_minimum(stat: Statistics, N: int,
                    policy: PrecisionPolicy = DEFAULT_POLICY,
-                   search_window=None):
+                   search_window=None) -> Minimum:
     """Locate the single interior minimum of the net-force curve.
 
     Defaults to the window [0.1 N, 2 N] for bosons and [0.05 N^2, 2 N^2] for
-    fermions, matching the particle-number scaling of the minimum.  Probe
-    points must be unimodal; golden-section refinement then brings the
-    minimum temperature to a relative precision of 1e-3.
+    fermions, matching the particle-number scaling of the minimum.  At 5
+    log-spaced probes the sign of d delta_f/dt must be certified (above its
+    bound) and change exactly once, from - to +; otherwise
+    :class:`NotUnimodal` is raised.  Safeguarded Newton on t d delta_f/dt in
+    log t, with the slope from d^2 delta_f/dt^2, then refines the minimum to
+    a relative precision of 1e-8.
+
+    Returns a :class:`Minimum`: the evaluated temperature nearest the root,
+    with the net force there, and a half-width t_min_error such that
+    t_min -+ t_min_error covers a bracket whose ends carry certified
+    opposite signs of the derivative, so it contains the minimiser.
     """
     if search_window is None:
         scale = N if stat.is_boson else N * N
@@ -665,37 +774,38 @@ def locate_minimum(stat: Statistics, N: int,
             else (mpf("0.05") * scale, 2 * scale)
     t_lo, t_hi = mpf(search_window[0]), mpf(search_window[1])
     with mp.workdps(policy.dps):
-        cache: dict = {}
-
-        def df(logt):
-            if logt not in cache:
-                cache[logt] = net_force(stat, N, mp.exp(logt), policy).delta_f
-            return cache[logt]
-
         a, c = mp.log(t_lo), mp.log(t_hi)
-        n_probe = 9
-        xs = [a + (c - a) * i / (n_probe - 1) for i in range(n_probe)]
-        vals = [df(x) for x in xs]
-        rises = [vals[i + 1] > vals[i] for i in range(n_probe - 1)]
-        flips = sum(1 for i in range(len(rises) - 1) if rises[i] != rises[i + 1])
-        i_min = min(range(n_probe), key=lambda i: vals[i])
-        if flips > 1 or i_min in (0, n_probe - 1):
+        n_probe = 5
+        probes = [net_force(stat, N, mp.exp(a + (c - a) * i / (n_probe - 1)), policy,
+                            derivatives=2) for i in range(n_probe)]
+        signs = [_certified_sign(p, 1) for p in probes]
+        rises = [i for i in range(n_probe - 1) if signs[i] != signs[i + 1]]
+        if not (len(rises) == 1 and signs[0] == -1 and signs[-1] == 1):
             raise NotUnimodal(
-                "probe points do not bracket a single interior minimum",
-                [(mp.exp(x), v) for x, v in zip(xs, vals)])
-        x_best = golden_section_minimum(df, xs[i_min - 1], xs[i_min + 1], mpf("1e-3"))
-        return mp.exp(x_best), df(x_best)
+                "derivative signs at the probes do not bracket a single interior minimum",
+                [(p.t, p.delta_f) for p in probes])
+        i = rises[0]
+        scale = max(abs(_scaled_derivative(p, 1)[0]) for p in probes)
+        return Minimum(*_refine_sign_change(
+            stat, N, policy, 1, probes[i].t, probes[i + 1].t, True, scale))
 
 
 def locate_inflections(stat: Statistics, N: int,
                        policy: PrecisionPolicy = DEFAULT_POLICY,
-                       window=None, grid_points: int = 48):
+                       window=None, grid_points: int = 16) -> Inflections:
     """Find the two inflection temperatures of the low-temperature step.
 
-    Fermions only: the step is absent for bosons.  A uniform grid over the
-    window (default [0.05 N, N]) locates the sign changes of the second
-    finite difference of the curve; each is then refined by bisection with a
-    half-grid-step stencil.
+    Fermions only: the step is absent for bosons.  On a uniform grid over
+    the window (default [0.05 N, N]) every sign of d^2 delta_f/dt^2 must be
+    certified, and the first turn from - to + and the next one back frame
+    the convex stretch of the step; without them :class:`StepNotFound` is
+    raised.  Each sign change is refined to a relative precision of 1e-8
+    in t by the derivative-free root finder on t^2 d^2 delta_f/dt^2 in
+    log t.
+
+    Returns :class:`Inflections`: each temperature with a half-width that
+    covers a bracket whose ends carry certified opposite signs of the
+    curvature.
     """
     if stat.is_boson:
         raise ValueError("the low-temperature step exists only for fermions")
@@ -703,59 +813,22 @@ def locate_inflections(stat: Statistics, N: int,
         window = (mpf("0.05") * N, mpf(N))
     t_lo, t_hi = mpf(window[0]), mpf(window[1])
     with mp.workdps(policy.dps):
-        cache: dict = {}
-
-        def df(t):
-            key = mp.nstr(t, 25)
-            if key not in cache:
-                cache[key] = net_force(stat, N, t, policy).delta_f
-            return cache[key]
-
         h = (t_hi - t_lo) / (grid_points - 1)
-        ts = [t_lo + i * h for i in range(grid_points)]
-        vals = [df(t) for t in ts]
-        d2 = [vals[i - 1] - 2 * vals[i] + vals[i + 1] for i in range(1, grid_points - 1)]
-        peak = max(range(len(d2)), key=lambda i: d2[i])
-        if not d2[peak] > 0:
-            raise StepNotFound("no convex stretch found inside the window")
-        left = peak
-        while left > 0 and d2[left - 1] > 0:
-            left -= 1
-        right = peak
-        while right < len(d2) - 1 and d2[right + 1] > 0:
-            right += 1
-        if left == 0 or right == len(d2) - 1:
-            raise StepNotFound("fewer than two second-difference sign changes detected")
-
-        stencil = h / 2
-
-        def d2_at(t):
-            return df(t - stencil) - 2 * df(t) + df(t + stencil)
-
-        def refine(t_neg, t_pos):
-            # the refinement stencil differs from the grid spacing, so the
-            # sign change may have shifted across a cell on either side:
-            # widen each end that lost its sign
-            for _ in range(3):
-                neg_held, pos_held = d2_at(t_neg) < 0, d2_at(t_pos) > 0
-                if neg_held and pos_held:
-                    break
-                step = t_pos - t_neg
-                if not neg_held:
-                    t_neg -= step
-                if not pos_held:
-                    t_pos += step
-            else:
-                raise StepNotFound("sign change lost during refinement")
-            while abs(t_pos - t_neg) > mpf("1e-3") * N:
-                mid = (t_neg + t_pos) / 2
-                if d2_at(mid) > 0:
-                    t_pos = mid
-                else:
-                    t_neg = mid
-            return (t_neg + t_pos) / 2
-
-        # grid index i of d2 corresponds to temperature ts[i+1]
-        t_begin = refine(ts[left], ts[left + 1])
-        t_end = refine(ts[right + 2], ts[right + 1])
-        return t_begin, t_end
+        grid = [net_force(stat, N, t_lo + i * h, policy, derivatives=2)
+                for i in range(grid_points)]
+        signs = [_certified_sign(p, 2) for p in grid]
+        if 0 in signs:
+            raise StepNotFound("curvature sign not resolved at t = "
+                               + mp.nstr(grid[signs.index(0)].t, 8))
+        # the step's convex stretch: the first turn from - to + and the next
+        # turn (the curve may turn convex again towards its minimum)
+        changes = [i for i in range(grid_points - 1) if signs[i] != signs[i + 1]]
+        rises = [k for k, i in enumerate(changes) if signs[i] < 0]
+        if not rises or rises[0] + 1 == len(changes):
+            raise StepNotFound("fewer than two curvature sign changes detected")
+        scale = max(abs(_scaled_derivative(p, 2)[0]) for p in grid)
+        (t_begin, _, err_begin), (t_end, _, err_end) = (
+            _refine_sign_change(stat, N, policy, 2, grid[i].t, grid[i + 1].t,
+                                signs[i] < 0, scale)
+            for i in changes[rises[0]:rises[0] + 2])
+        return Inflections(t_begin, t_end, err_begin, err_end)

@@ -89,14 +89,13 @@ def test_criterion_02_high_temperature():
 # -- criterion 3: bosonic minimum -------------------------------------------
 
 def test_criterion_03_boson_minimum_location_n100(boson_minimum_100):
-    t_min, _ = boson_minimum_100
-    ratio = t_min / 100
+    ratio = boson_minimum_100.t_min / 100
     check("3", "boson t_min/N at N=100 equals 0.548 within 5%",
           f"t_min/N={mp.nstr(ratio, 8)}", abs(ratio - mpf("0.548")) <= mpf("0.05") * mpf("0.548"))
 
 
 def test_criterion_03_boson_minimum_value_n100(boson_minimum_100):
-    _, df_min = boson_minimum_100
+    df_min = boson_minimum_100.delta_f_min
     ratio = df_min / 100
     check("3", "boson delta_f_min/N at N=100 equals 0.597 within 3%",
           f"delta_f_min/N={mp.nstr(ratio, 8)}",
@@ -104,14 +103,13 @@ def test_criterion_03_boson_minimum_value_n100(boson_minimum_100):
 
 
 def test_criterion_03_boson_minimum_location_n1000(boson_minimum_1000):
-    t_min, _ = boson_minimum_1000
-    ratio = t_min / 1000
+    ratio = boson_minimum_1000.t_min / 1000
     check("3", "boson t_min/N at N=1000 equals 0.548 within 2%",
           f"t_min/N={mp.nstr(ratio, 8)}", abs(ratio - mpf("0.548")) <= mpf("0.02") * mpf("0.548"))
 
 
 def test_criterion_03_boson_minimum_value_n1000(boson_minimum_1000):
-    _, df_min = boson_minimum_1000
+    df_min = boson_minimum_1000.delta_f_min
     ratio = df_min / 1000
     check("3", "boson delta_f_min/N at N=1000 equals 0.597 within 2%",
           f"delta_f_min/N={mp.nstr(ratio, 8)}",
@@ -121,7 +119,7 @@ def test_criterion_03_boson_minimum_value_n1000(boson_minimum_1000):
 # -- criterion 4: fermionic minimum -----------------------------------------
 
 def test_criterion_04_fermion_minimum(fermion_minimum_100):
-    t_min, df_min = fermion_minimum_100
+    t_min, df_min, _ = fermion_minimum_100
     t_ratio = t_min / 10 ** 4
     f_ratio = df_min / 10 ** 4
     check("4", "fermion t_min/N^2 at N=100 equals 0.444 within 5%",
@@ -187,7 +185,7 @@ def test_criterion_07_improved_approximant():
 # -- criterion 8: fermionic step --------------------------------------------
 
 def test_criterion_08_oracle_inflections(fermion_inflections_100):
-    t_begin, t_end = fermion_inflections_100
+    t_begin, t_end = fermion_inflections_100[:2]
     check("8", "oracle t_begin/N at N=100 equals 0.237 within 0.012",
           f"t_begin/N={mp.nstr(t_begin / 100, 8)}",
           abs(t_begin / 100 - mpf("0.237")) <= mpf("0.012"))
@@ -420,7 +418,7 @@ def test_criterion_11_brute_force_equivalence(stat, N, t):
 # -- criterion 12: scale invariance ------------------------------------------
 
 def test_criterion_12_boson_scale_invariance(boson_minimum_100):
-    t_min, _ = boson_minimum_100
+    t_min = boson_minimum_100.t_min
     base = net_force(BOSON, 100, t_min).delta_f / 100
     for k in (2, 5):
         scaled = net_force(BOSON, 100 * k, t_min * k).delta_f / (100 * k)
@@ -430,7 +428,7 @@ def test_criterion_12_boson_scale_invariance(boson_minimum_100):
 
 
 def test_criterion_12_fermion_scale_invariance(fermion_minimum_100):
-    t_min, _ = fermion_minimum_100
+    t_min = fermion_minimum_100.t_min
     base = net_force(FERMION, 100, t_min).delta_f / 100 ** 2
     for k in (2, 5):
         scaled = net_force(FERMION, 100 * k, t_min * k * k).delta_f / (100 * k) ** 2

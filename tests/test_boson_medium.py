@@ -16,7 +16,7 @@ from partition_well.boson_medium import (
     tanh_pade,
 )
 from partition_well.model import BOSON, W_MINUS, W_PLUS, as_mpf
-from partition_well.numerics import DEFAULT_POLICY
+from partition_well.numerics import DEFAULT_POLICY, MaxIterations
 from partition_well.oracle import locate_minimum, net_force, solve_alpha
 
 
@@ -52,6 +52,13 @@ class TestSpectralSum:
 
 
 class TestScaledAlphaSolve:
+    def test_residual_above_target_at_the_pole_raises(self):
+        # N/t = 1e30 puts the root against the pole z = -1/4 of the plus
+        # side: the bracket collapses there with the residual far above
+        # target, and the solve no longer returns z = -0.25
+        with pytest.raises(MaxIterations):
+            solve_scaled_alpha(W_PLUS, 1, mpf("1e-30"))
+
     def test_anchor_minus_side(self):
         # N/t = pi^2/2 is where the plus-side alpha vanishes
         sol = solve_scaled_alpha(W_MINUS, 100, 200 / mp.pi ** 2, "exact_S_solve")
@@ -183,7 +190,7 @@ class TestMediumNetForce:
 
     def test_medium_regime_condition_at_minimum(self, minimum_100):
         # alpha and b are both of order 1/N where the minimum sits
-        t_min, _ = minimum_100
+        t_min = minimum_100.t_min
         for side in (W_PLUS, W_MINUS):
             sol = solve_alpha(BOSON, side, 100, t_min)
             assert abs(sol.alpha) < mpf("0.1")

@@ -262,6 +262,19 @@ class TestReport:
         ratio = float(rep["t_min_over_scale"])
         assert 0.3 < ratio < 0.7
 
+    def test_searches_print_their_enclosures(self, capsys):
+        assert run_cli(["report", "--kind", "minimum", "--stat", "boson", "--N", "6",
+                        "--window", "0.601859:12.0372", "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert (rep["method"], rep["t_relative_precision"]) == ("derivative_root_log_t", "1e-8")
+        assert 0 < float(rep["t_min_error"]) <= 2e-8 * float(rep["t_min"])
+        assert run_cli(["report", "--kind", "inflections", "--stat", "fermion", "--N", "3",
+                        "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["method"] == "curvature_sign_root_log_t"
+        for key in ("t_begin", "t_end"):
+            assert 0 < float(rep[key + "_error"]) <= 2e-8 * float(rep[key])
+
     def test_inflections_require_fermion(self):
         assert run_cli(["report", "--kind", "inflections", "--stat", "boson"]) == 2
 

@@ -74,9 +74,12 @@ class TestShiftFiniteTemperature:
         assert declines[0] < mpf("0.95")  # past the plateau, the shift has dropped
 
     def test_force_side_calls(self, root_evaluations, monkeypatch):
-        # each xi is solved once: xi = 0 for the scale, then the upper
-        # bracket end and 7 more root-finder points, then the root, which
-        # the straddle probe returns unevaluated; two sides each
+        # each xi is solved once, two sides each: xi = 0 for the scale and
+        # the first Newton step, then the upper bracket end a quarter beyond
+        # it, 3 Newton steps from there and the straddle probe, then the
+        # root, which the straddle probe returns unevaluated.  The secant
+        # solve from the bracket [0, 0.5] took 9 root-finder evaluations and
+        # 20 calls
         calls = []
         force_side = oracle.force_side
 
@@ -87,8 +90,8 @@ class TestShiftFiniteTemperature:
         monkeypatch.setattr(oracle, "force_side", counting_force_side)
         evals = root_evaluations(equilibrium)
         shift_finite_temperature(BOSON, 5, 3)
-        assert evals == [9]
-        assert len(calls) == 20
+        assert evals == [6]
+        assert len(calls) == 14
 
 
 class TestTransfer:

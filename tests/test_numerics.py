@@ -74,6 +74,12 @@ class TestRootFinder:
         with pytest.raises(MaxIterations):
             find_root_bracketed(lambda x: mp.tanh(x) - mpf(1) / 2, 0, 2, policy)
 
+    def test_collapsed_bracket_above_target_raises(self):
+        # a sign change with no root: the bracket shrinks to adjacent floats
+        # around the jump while |g| stays at 1
+        with pytest.raises(MaxIterations, match="bracket collapsed"):
+            find_root_bracketed(lambda x: 1 if x > mpf(1) / 3 else -1, 0, 1)
+
     def test_deterministic_bit_identical(self):
         f = lambda x: mp.cos(x) - x
         a = find_root_bracketed(f, 0, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from partition_well import oracle
+from partition_well import derivatives, oracle
 from partition_well.equilibrium import shift_finite_temperature
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
 from partition_well.numerics import (
@@ -84,11 +84,11 @@ class TestEscalation:
     def _failing(monkeypatch, exc, digits, fail_at=None):
         solve_at = oracle._solve_side_at
 
-        def patched(stat, side, N, t, policy):
+        def patched(stat, side, N, t, policy, *rest):
             digits.append(policy.working_digits)
             if fail_at is None or policy.working_digits in fail_at:
                 raise exc
-            return solve_at(stat, side, N, t, policy)
+            return solve_at(stat, side, N, t, policy, *rest)
 
         monkeypatch.setattr(oracle, "_solve_side_at", patched)
 
@@ -312,7 +312,7 @@ class TestSweep:
 
 class TestMinimumAndInflections:
     def test_boson_minimum_matches_brute_scan(self):
-        t_min, df_min = locate_minimum(BOSON, 100)
+        t_min, df_min, _ = locate_minimum(BOSON, 100)
         # independently brute-scanned location and value of the minimum
         assert abs(t_min / 100 - mpf("0.6175")) < mpf("0.002")
         assert abs(df_min / 100 - mpf("0.60972")) < mpf("1e-4")
@@ -323,10 +323,9 @@ class TestMinimumAndInflections:
         assert "minimum" in str(info.value)
 
     def test_inflections_survive_a_shifted_window(self):
-        # the sign change of the refinement stencil moves past the grid cell
-        # on the side of the convex stretch here; widening only the other
-        # side lost it
-        t_begin, t_end = locate_inflections(
+        # a second-difference stencil once lost the sign change in this
+        # window; certified curvature signs do not depend on a stencil
+        t_begin, t_end, _, _ = locate_inflections(
             FERMION, 3, window=(mpf("0.152661"), mpf("3.05323")))
         assert abs(t_begin - mpf("0.80470412")) < mpf("3e-3")
         assert abs(t_end - mpf("1.5096243")) < mpf("3e-3")
@@ -334,6 +333,63 @@ class TestMinimumAndInflections:
     def test_inflections_require_fermions(self):
         with pytest.raises(ValueError):
             locate_inflections(BOSON, 100)
+
+
+class TestSearchCounters:
+    """The searches' net_force calls, counted through the module attribute
+    they call, and the certified enclosures they return.  The golden
+    section and the second-difference stencil they replace took 26/27 and
+    78 calls at a claimed precision of 1e-3."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        original = oracle.net_force
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "net_force", counting)
+        return calls
+
+    @pytest.mark.parametrize("stat,N,window,calls", [
+        # 5 probes, the two bracket ends again, 3 Newton steps and the
+        # straddle probe
+        (BOSON, 6, ("0.601859", "12.0372"), 11),
+        (FERMION, 3, ("0.458867", "18.3547"), 11),
+    ])
+    def test_minimum(self, monkeypatch, stat, N, window, calls):
+        counted = self._count(monkeypatch)
+        t_min, _, err = locate_minimum(stat, N, search_window=tuple(map(mpf, window)))
+        assert len(counted) == calls
+        monkeypatch.undo()
+        assert 0 < err <= mpf("2e-8") * t_min
+        # the ends of t_min -+ err carry certified opposite slopes
+        with mp.workdps(DEFAULT_POLICY.dps):
+            ends = [net_force(stat, N, t_min + s * err, derivatives=1) for s in (-1, 1)]
+        assert [oracle._certified_sign(p, 1) for p in ends] == [-1, 1]
+
+    def test_inflections(self, monkeypatch):
+        # 16 grid points, then per sign change its two ends again and 5 or
+        # 6 secant steps with the straddle probe
+        counted = self._count(monkeypatch)
+        found = locate_inflections(FERMION, 3)
+        assert len(counted) == 30
+        monkeypatch.undo()
+        with mp.workdps(DEFAULT_POLICY.dps):
+            for t, err, signs in ((found.t_begin, found.t_begin_error, [-1, 1]),
+                                  (found.t_end, found.t_end_error, [1, -1])):
+                assert 0 < err <= mpf("2e-8") * t
+                ends = [net_force(FERMION, 3, t + s * err, derivatives=2) for s in (-1, 1)]
+                assert [oracle._certified_sign(p, 2) for p in ends] == signs
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inflections_in_shifted_windows(self, seed):
+        shift = mpf(10) ** (mpf("0.01") * random.Random(seed).random())
+        found = locate_inflections(FERMION, 3, window=(mpf("0.15") * shift, 3 * shift))
+        assert abs(found.t_begin - mpf("0.80367262")) < mpf("1e-7")
+        assert abs(found.t_end - mpf("1.5093439")) < mpf("1e-6")
 
 
 class TestRootCounters:
@@ -413,9 +469,9 @@ class TestRootCounters:
             calls.append(beta)
             return theta0(beta, *args)
 
-        def counting_solve_at(stat, side, N, t, policy):
+        def counting_solve_at(*args):
             calls.clear()
-            result = solve_at(stat, side, N, t, policy)
+            result = solve_at(*args)
             solves.append(list(calls))
             return result
 
@@ -648,3 +704,169 @@ def test_particle_number_checked_at_every_entry(entry, N):
     # each entry point solves through one function that checks N
     with pytest.raises(ValueError, match="N must be a positive integer"):
         ENTRY_POINTS[entry](N)
+
+
+def _direct_moments(eta, tau, alpha, b, c, dps=70):
+    """Level-by-level sums at ``dps`` digits: the number, S_k = sum e^k D and
+    T_k = sum e^k n'' (k = 0..3), and about the centre c the sums
+    C_2, C_4 (weights (e - c)^2, (e - c)^4 on D) and B_3 (weight
+    (e - c)^3 on n''), with D = N (1 + eta N) and n'' = D (1 + 2 eta N).
+
+    Stops on the decreasing flank (x > 2, b e > 4) once (e + |c|)^4 e^(-x)
+    is below 1e-60; the dropped terms then fall at least geometrically.
+    """
+    with mp.workdps(dps):
+        alpha, b, c = mpf(alpha), mpf(b), mpf(c)
+        out = dict(number=mpf(0), C2=mpf(0), C4=mpf(0), B3=mpf(0))
+        for k in range(4):
+            out[f"S{k}"] = out[f"T{k}"] = mpf(0)
+        u = mp.exp(-alpha - b * (1 - tau) ** 2)
+        ratio, shrink = mp.exp(-b * (3 - 2 * tau)), mp.exp(-2 * b)
+        n = 1
+        while True:
+            en = (n - tau) ** 2
+            occ = u / (1 - eta * u)
+            docc = occ * (1 + eta * occ)
+            d2occ = docc * (1 + 2 * eta * occ)
+            out["number"] += occ
+            w = en - c
+            out["C2"] += w ** 2 * docc
+            out["C4"] += w ** 4 * docc
+            out["B3"] += w ** 3 * d2occ
+            for k in range(4):
+                out[f"S{k}"] += en ** k * docc
+                out[f"T{k}"] += en ** k * d2occ
+            if (en + abs(c)) ** 4 * u < mpf("1e-60") and alpha + b * en > 2 and b * en > 4:
+                return out
+            u *= ratio
+            ratio *= shrink
+            n += 1
+
+
+def _brute_derivatives(sums, b, dps=70):
+    """(df/dt, d^2f/dt^2) from the raw level sums of :func:`_direct_moments`:
+    V = S_2 - S_1^2/S_0, V_b = S_2b - 2 S_1 S_1b/S_0 + S_1^2 S_0b/S_0^2 with
+    S_kb = -(alpha_b T_k + T_(k+1)) and alpha_b = -S_1/S_0."""
+    with mp.workdps(dps):
+        s, t = [sums[f"S{k}"] for k in range(4)], [sums[f"T{k}"] for k in range(4)]
+        alpha_b = -s[1] / s[0]
+        s_b = [-(alpha_b * t[k] + t[k + 1]) for k in range(3)]
+        v = s[2] - s[1] ** 2 / s[0]
+        v_b = s_b[2] - 2 * s[1] * s_b[1] / s[0] + s[1] ** 2 * s_b[0] / s[0] ** 2
+        return b ** 2 * v, -2 * b ** 3 * v - b ** 4 * v_b
+
+
+class TestTemperatureDerivatives:
+    """d delta_f/dt and d^2 delta_f/dt^2 from the final level-sum pass, and
+    their certified bounds."""
+
+    HIGH = PrecisionPolicy(working_digits=60, max_digits=120,
+                           target_abs_error=1e-45, target_rel_error=1e-45)
+
+    @pytest.mark.parametrize("stat,N,t", [
+        (BOSON, 100, "55"), (FERMION, 100, "4440"), (BOSON, 100, "1e7"),
+        (BOSON, 8, "0.01"), (FERMION, 4, "4.85"),
+    ])
+    def test_match_60_digit_centred_differences(self, stat, N, t):
+        point = net_force(stat, N, mpf(t), derivatives=2)
+        with mp.workdps(70):
+            t = mpf(t)
+            h = t * mpf("1e-12")
+            f_lo, f_mid, f_hi = (net_force(stat, N, x, self.HIGH).delta_f
+                                 for x in (t - h, t, t + h))
+            d1 = (f_hi - f_lo) / (2 * h)
+            d2 = (f_hi - 2 * f_mid + f_lo) / (h * h)
+            # the differences carry h^2 truncation and 1e-45/h^2 rounding
+            assert abs(point.d_delta_f_dt - d1) <= \
+                point.d_delta_f_dt_error + mpf("1e-20") * abs(d1) + mpf("1e-30")
+            assert abs(point.d2_delta_f_dt2 - d2) <= \
+                point.d2_delta_f_dt2_error + mpf("1e-15") * abs(d2) + mpf("1e-18")
+
+    def test_default_path_unchanged(self):
+        plain = net_force(FERMION, 3, mpf("1.1"))
+        both = net_force(FERMION, 3, mpf("1.1"), derivatives=2)
+        assert plain.d_delta_f_dt is None and plain.d2_delta_f_dt2_error is None
+        assert (both.delta_f, both.delta_f_error) == (plain.delta_f, plain.delta_f_error)
+        assert force_side(FERMION, W_PLUS, 3, mpf("1.1"), derivatives=1)[:2] == \
+            force_side(FERMION, W_PLUS, 3, mpf("1.1"))
+        with pytest.raises(ValueError):
+            net_force(FERMION, 3, 1, derivatives=3)
+
+    @pytest.mark.parametrize("stat,side,N,t,target,dps", [
+        (FERMION, W_MINUS, 3, "1.1", 1e-12, 70),
+        (BOSON, W_PLUS, 6, "3.3", 1e-12, 70),
+        # the Bose pole, x_1 = log(1 + 1/N) on the minus side: the excited
+        # levels carry e^(-300) of the weight, so the raw formula cancels
+        # to 130 digits
+        (BOSON, W_MINUS, 8, "0.01", 1e-12, 250),
+        (FERMION, W_PLUS, 100, "4440", 1e-12, 70),
+        # strided, m >= 2
+        (BOSON, W_PLUS, 30, "1e4", 1e-12, 70),
+        # a loose target: the alpha residual dominates the bounds
+        (FERMION, W_MINUS, 30, "40", 1e-4, 70),
+        (BOSON, W_MINUS, 6, "3.3", 1e-4, 70),
+    ])
+    def test_bounds_contain_70_digit_derivatives(self, stat, side, N, t, target, dps):
+        policy = PrecisionPolicy(target_abs_error=target)
+        _, _, (d1, e1), (d2, e2) = force_side(stat, side, N, mpf(t), policy, derivatives=2)
+        tau = as_mpf(side.tau)
+        with mp.workdps(dps):
+            b = 1 / mpf(t)
+            alpha = solve_alpha(stat, side, N, mpf(t)).alpha
+            for _ in range(3):  # Newton on the level-by-level constraint
+                sums = _direct_moments(stat.eta, tau, alpha, b, 0, dps)
+                alpha += (sums["number"] - N) / sums["S0"]
+            sums = _direct_moments(stat.eta, tau, alpha, b, 0, dps)
+            assert abs(sums["number"] - N) < mpf("1e-55")
+            exact1, exact2 = _brute_derivatives(sums, b, dps)
+        assert abs(d1 - exact1) <= e1 + mpf("1e-32") * abs(exact1)
+        assert abs(d2 - exact2) <= e2 + mpf("1e-32") * abs(exact2)
+
+    def test_tails_and_aliasing_contain_70_digit_sums(self):
+        """The moment sums and the derivatives formed from them, at a given
+        alpha (alpha_error = 0, so the bounds are the tails alone) and at
+        loose truncation targets, against 70-digit level-by-level sums: on
+        stride 1, on the chosen stride m >= 2 and on 3m, whose aliasing is
+        far above the target, and from just above the Bose pole."""
+        rng = random.Random(20261019)
+        slack = mpf("1e-33")
+        counts = {"1": 0, "m": 0, "3m": 0, "pole": 0}
+        with mp.workdps(DEFAULT_POLICY.dps):
+            for i in range(48):
+                stat = rng.choice((BOSON, FERMION))
+                side = rng.choice((W_MINUS, W_PLUS))
+                tau = as_mpf(side.tau)
+                eps = mpf(10) ** rng.uniform(-20, -8)
+                kind = ("1", "m", "pole")[i % 3]
+                if kind == "m":
+                    b = mpf(10) ** rng.uniform(-3.5, -2)
+                    alpha = mpf(10) ** rng.uniform(-0.5, 1.1)
+                elif kind == "pole":
+                    stat = BOSON
+                    b = mpf(10) ** rng.uniform(-2, 1)
+                    alpha = -b * (1 - tau) ** 2 + mpf(10) ** rng.uniform(-4, -1)
+                else:
+                    b = mpf(10) ** rng.uniform(-2, 1)
+                    alpha = mpf(rng.uniform(-20, 4)) if not stat.is_boson else \
+                        -b * (1 - tau) ** 2 + mpf(10) ** rng.uniform(-1, 1)
+                table = oracle._LevelTable(stat, side, b, eps)
+                chosen = table.stride(alpha)
+                strides = [chosen] if chosen == 1 else [chosen, 3 * chosen]
+                for m in strides:
+                    sums = oracle._level_sums(table, alpha, m)
+                    mom = derivatives.moment_sums(table, alpha, sums)
+                    exact = _direct_moments(stat.eta, tau, alpha, b, mom.c)
+                    for name, value, tail in (("C2", mom.c2, mom.tail_c2),
+                                              ("C4", mom.c4, mom.tail_c4),
+                                              ("B3", mom.b3, mom.tail_b3)):
+                        assert abs(value - exact[name]) <= \
+                            tail + slack * max(1, abs(exact[name])), \
+                            f"instance {i} (stride {m}): {name} beyond its tail bound"
+                    derivs = derivatives.side_derivatives(table, alpha, sums, mpf(0), 2)
+                    for order, (value, bound), brute in zip(
+                            (1, 2), derivs, _brute_derivatives(exact, b)):
+                        assert abs(value - brute) <= bound + slack * max(1, abs(brute)), \
+                            f"instance {i} (stride {m}): derivative {order} beyond its bound"
+                    label = kind if m == 1 or kind != "m" else ("m" if m == chosen else "3m")
+                    counts[label] += 1
+        assert min(counts.values()) >= 10, counts
