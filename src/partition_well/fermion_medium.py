@@ -14,13 +14,11 @@ variants are provided: direct quadrature (the precise route), the truncated
 asymptotic series for I paired with its further-truncated derivative, and a
 tanh-shaped surrogate of the integrand that admits closed forms.
 
-The quadrature route always evaluates I and I' = -integral s (1 - s) dy as
-one pair: a single quadrature of the complex integrand s - i s (1 - s), so
-the occupancy s(y) = 1/(exp(alpha + y^2) + 1) is computed once per node for
-both.  Once the Fermi edge y = sqrt(-alpha) lies beyond y = 4, the
-quadrature adds breakpoints at the edge and a few edge widths
-1/sqrt(-alpha) around it.  It stops at a cut past which a Gaussian
-envelope of the integrand proves the tail below a quarter of the target.
+The quadrature route takes I and I' = -integral s (1 - s) dy from one
+trapezoid sum over y = j h of s(y) = 1/(exp(alpha + y^2) + 1): a Poisson
+bound on the strip where s is analytic sets h, a Gaussian envelope proves
+the cut, and points deep in the Fermi sea, where s = 1 within the target,
+are counted instead of summed.
 alpha(N, t) inverts I(alpha) = N/sqrt(t) by safeguarded Newton steps on
 (I - N/sqrt(t), I'), one pair per step, between ends taken in closed form
 from bounds on I; the tanh surrogate's lower end is closed-form as well.
@@ -30,22 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
-from .numerics import DEFAULT_POLICY, PrecisionPolicy, find_root_bracketed, \
-    gaussian_tail_upper_bound, golden_section_minimum, quad_semi_infinite
+from .numerics import DEFAULT_POLICY, PrecisionExhausted, PrecisionPolicy, \
+    find_root_bracketed, gaussian_tail_upper_bound, golden_section_minimum, \
+    quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
-    "FermiIntegralValue",
-    "VariantDomainError",
-    "STONER_INTERVAL",
-    "fermi_integral",
-    "fermi_integral_ends",
-    "alpha_from_temperature",
-    "force_kernel",
-    "force_kernel_minimum",
-    "fermion_medium_net_force",
-    "alpha_split_subleading",
+    "FermiIntegralValue", "VariantDomainError", "STONER_INTERVAL", "fermi_integral",
+    "fermi_integral_ends", "fermi_strip", "alpha_from_temperature", "force_kernel",
+    "force_kernel_minimum", "fermion_medium_net_force", "alpha_split_subleading",
     "tanh_surrogate_quadratic",
 ]
 
@@ -80,47 +72,56 @@ def _check_variant(alpha, variant: str, pure_series_derivative: bool):
         raise ValueError("pure_series_derivative only applies to the stoner variant")
 
 
-# the Fermi edge y = sqrt(-alpha) needs its own breakpoints beyond this point
-_EDGE_MIN = 4
+def fermi_strip(alpha, b=1) -> tuple:
+    """(a, M, M'): |s| and |s (1 - s)|, s = 1/(e^w + 1), w = alpha + b y^2,
+    integrate to at most M and M' along every line of the strip |Im y| <= a.
 
-
-def _pair_points(alpha: mpf, policy: PrecisionPolicy) -> list:
-    """Breakpoints of the paired quadrature, ending in a proven cut.
-
-    With y0 = 0, or y0 = sqrt(-alpha) once the Fermi edge lies beyond y = 4,
-    they are 0 and y0 + 1, 2, 4, ... below the cut and, at the edge, y0 and
-    y0 -+ w 2^k (k = 0..5, w = 1/y0).  The integrand obeys |s - i s (1 - s)|
-    <= sqrt(2) s < sqrt(2) e^(-alpha - y^2), and y^2 >= y0^2 + u^2 at
-    y = y0 + u, so it lies below c e^(-u^2) with c = sqrt(2) e^(-alpha - y0^2).
-    The cut is y0 + u for the first u in 12, 18, 27, ... with
-    c gaussian_tail_upper_bound(u) <= target/4.
+    At y = x + i c, rho = Re w, theta = Im w = 2 b c x: |s| <= 2 where rho <=
+    -ln 2, and |s| <= 2 e^(-rho) where rho >= ln 2.  In between, |e^w + 1|^2 =
+    (1 - r)^2 + 4 r cos^2(theta/2), r = e^rho >= 1/2, so |s| <= 1/(sqrt(2)
+    cos 0.45 pi) < 4.53 while |theta| <= 0.9 pi.  rho < ln 2 only in |x| < X,
+    X^2 = a^2 + (ln 2 - alpha)/b, and 2 b a X = 0.9 pi (a quadratic in X^2)
+    sets a for every alpha.  Beyond X, |s| <= e^(b (X^2 - x^2)), of integral
+    <= 1/(b X): M = 9.06 X + 1/(b X), and |s (1 - s)| <= |s| (1 + |s|) gives
+    M' = 50.11 X + 2/(b X).
     """
-    y0 = mp.sqrt(-alpha) if alpha < -_EDGE_MIN ** 2 else mpf(0)
-    c = mp.sqrt(2) * mp.exp(-alpha - y0 ** 2)
-    u = mpf(12)
-    while c * gaussian_tail_upper_bound(u) > mpf(policy.target_abs_error) / 4:
-        u *= mpf("1.5")
-    grid = [y0 + 2 ** k for k in range(int(mp.log(u, 2)) + 1)]  # 2^k < u
-    if y0:
-        w = 1 / y0
-        steps = [w * 2 ** k for k in range(6)]
-        grid = sorted([y0 - s for s in steps if s < y0] + [y0]
-                      + [y0 + s for s in steps] + grid)
-    return [mpf(0)] + grid + [y0 + u]
+    k, c = mpf("0.9") * mp.pi, mp.ln2 - alpha
+    root = mp.hypot(c, k)
+    X = mp.sqrt(((c + root) / 2 if c >= 0 else k * k / (2 * (root - c))) / b)
+    return k / (2 * b * X), mpf("9.06") * X + 1 / (b * X), mpf("50.11") * X + 2 / (b * X)
 
 
-def _quad_pair(alpha: mpf, policy: PrecisionPolicy):
-    """(I, I') from one quadrature of the complex integrand s - i s (1 - s).
+def _fermi_lattice(alpha: mpf, target: mpf) -> tuple:
+    """Step h with half-line aliasing M'/(e^(2 pi a/h) - 1) = target/4 (Trefethen
+    & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), and the j0 <= sqrt(-alpha)/h
+    + 1 points with alpha + y^2 <= -L, whose holes 1 - s <= e^(-L) sum to
+    at most target/8."""
+    a, _, m_prime = fermi_strip(alpha)
+    h = 2 * mp.pi * a / mp.log1p(4 * m_prime / target)
+    L = mp.log(8 * (mp.sqrt(max(-alpha, 0)) + h) / target)
+    return h, int(mp.sqrt(-alpha - L) / h) + 1 if alpha < -L else 0, L
 
-    Both integrals share every node, so the occupancy s(y) = 1/(exp(alpha +
-    y^2) + 1) is computed once per node and nothing is kept between nodes.
-    """
-    def integrand(y):
-        s = 1 / (mp.exp(alpha + y * y) + 1)
-        return mpc(s, -s * (1 - s))
 
-    v = quad_semi_infinite(integrand, _pair_points(alpha, policy), policy)
-    return v.real, v.imag
+def _trapezoid_pair(alpha: mpf, policy: PrecisionPolicy):
+    """(I, I') = h (s(0)/2 + sum_(j>=1) s(j h)) and the same of -s (1 - s), to
+    target = min(target_abs_error, 10^(-working_digits)): the aliasing and
+    plateau of :func:`_fermi_lattice` (s = 1 there) and the cut, after which
+    s (1 - s) <= s < e^(-alpha - y^2) sum to <= e^(-alpha) times the Gaussian
+    tail from y, take 5/8 of it.  u = e^(-alpha - y^2) steps as in the oracle."""
+    target = min(mpf(policy.target_abs_error), mpf(10) ** -policy.working_digits)
+    h, j0, _ = _fermi_lattice(alpha, target)
+    u = mp.exp(-alpha - (j0 * h) ** 2)
+    r, shrink, ealpha = mp.exp(-(2 * j0 + 1) * h * h), mp.exp(-2 * h * h), mp.exp(-alpha)
+    occ = u / (1 + u)
+    s_n, s_d = (j0 - mpf(1) / 2, 0) if j0 else (-occ / 2, -occ * (1 - occ) / 2)
+    for j in range(j0, j0 + 10 ** 7):
+        occ = u / (1 + u)
+        s_n += occ
+        s_d += occ * (1 - occ)
+        if j and u < target and ealpha * gaussian_tail_upper_bound(j * h) <= target / 4:
+            return h * s_n, -h * s_d
+        u, r = u * r, r * shrink
+    raise PrecisionExhausted("Fermi sum did not truncate below the target")
 
 
 def _surrogate_pieces(alpha: mpf):
@@ -140,10 +141,10 @@ def fermi_integral(alpha, variant: str = "quadrature",
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> FermiIntegralValue:
     """Fermi-Dirac integral I(alpha) and its derivative.
 
-    * ``quadrature`` - adaptive quadrature of the integrand s and of its
-      alpha-derivative -s (1 - s) together, as the real and imaginary parts
-      of one integrand, with breakpoints around the Fermi edge
-      y = sqrt(-alpha) once it lies beyond y = 4 (valid for all alpha);
+    * ``quadrature`` - one trapezoid sum of the integrand s and of its
+      alpha-derivative -s (1 - s) together, with a step from the strip
+      bound, a proven cut and a counted plateau deep in the Fermi sea
+      (valid for all alpha);
     * ``stoner`` - I = sqrt(-alpha) [1 - (pi^2/24)/alpha^2] with the
       further-truncated derivative magnitude 1/(2 sqrt(-alpha)); setting
       ``pure_series_derivative`` instead differentiates the truncated series
@@ -155,7 +156,7 @@ def fermi_integral(alpha, variant: str = "quadrature",
         alpha = mpf(alpha)
         _check_variant(alpha, variant, pure_series_derivative)
         if variant == "quadrature":
-            return FermiIntegralValue(alpha, *_quad_pair(alpha, policy), variant)
+            return FermiIntegralValue(alpha, *_trapezoid_pair(alpha, policy), variant)
         if variant == "stoner":
             root = mp.sqrt(-alpha)
             corr = mp.pi ** 2 / 24 / alpha ** 2
@@ -211,26 +212,21 @@ _DAWSON_X_MAX = mpf("0.6424")
 def fermi_integral_ends(target: mpf) -> tuple:
     """Padded ends (lo, hi) with I(lo) > target > I(hi), from closed bounds on I.
 
-    Upper end: Boltzmann occupancy bounds the Fermi one from above, so
-    I < (sqrt(pi)/2) e^(-alpha) and hi = log((sqrt(pi)/2)/target).  For
-    alpha = -y0^2 < 0 also s <= 1 below the edge and s < e^(-2 y0 (y - y0))
-    beyond it, so I < y0 + 1/(2 y0); when target > sqrt(2) this gives
-    hi = -y0^2 at y0 = (target + sqrt(target^2 - 2))/2.
+    Upper end: s < e^(-alpha - y^2) gives I < (sqrt(pi)/2) e^(-alpha), so
+    hi = log((sqrt(pi)/2)/target).  At alpha = -y0^2, s <= 1 below the edge
+    and s < e^(-2 y0 (y - y0)) beyond it give I < y0 + 1/(2 y0), so hi =
+    -y0^2 at y0 = (target + sqrt(target^2 - 2))/2 when target > sqrt(2).
 
-    Lower end: 1/(x + 1) >= 1 - x gives s >= 1 - exp(alpha + y^2), so at
-    alpha = -y0^2 the part of I below the edge is at least y0 - F(y0), with
-    F Dawson's integral.  F <= max F = 0.5411 and x F(x) <= 0.6424 give
-    I > y0 - min(0.5411, 0.6424/y0), which exceeds the target from
-    y0 = min(target + 0.5411, (target + sqrt(target^2 + 4 (0.6424)))/2) on;
-    hence lo = -y0^2 (the second form is the smaller one above the
-    crossover target 0.6424/0.5411 - 0.5411 = 0.6461).  And
+    Lower end: s >= 1 - exp(alpha + y^2) puts the part of I below the edge
+    at y0 - F(y0) or more, F Dawson's integral.  F <= 0.5411 and x F(x) <=
+    0.6424 give I > y0 - min(0.5411, 0.6424/y0), above the target from y0 =
+    min(target + 0.5411, (target + sqrt(target^2 + 4 (0.6424)))/2) on, so
+    lo = -y0^2 (the second is smaller above target 0.6461).  And
     exp(alpha + y^2) + 1 <= (e^alpha + 1) e^(y^2) gives I >= (sqrt(pi)/2)
-    / (e^alpha + 1), hence lo = log((sqrt(pi)/2)/target - 1) when target <
-    sqrt(pi)/2.
-
-    The tighter candidate is taken at each end, and both ends are padded
-    outward by 10^(4 - dps) max(1, |x|).  The oracle bounds its soft-step
-    fermion constraint with the same lower end.
+    / (e^alpha + 1), so lo = log((sqrt(pi)/2)/target - 1) when target <
+    sqrt(pi)/2.  The tighter candidate is taken at each end, and both are
+    padded outward by 10^(4 - dps) max(1, |x|).  The oracle bounds its
+    soft-step fermion constraint with the same lower end.
     """
     half_root_pi = mp.sqrt(mp.pi) / 2
     hi = mp.log(half_root_pi / target)
@@ -333,7 +329,4 @@ def tanh_surrogate_quadratic(policy: PrecisionPolicy = DEFAULT_POLICY,
         J0 = J(a_star)
         J1 = mp.diff(J, a_star)
         J2 = mp.diff(J, a_star, 2)
-        curvature = J2 / 2
-        center = a_star - J1 / J2
-        minimum = J0 - J1 ** 2 / (2 * J2)
-        return curvature, center, minimum
+        return J2 / 2, a_star - J1 / J2, J0 - J1 ** 2 / (2 * J2)

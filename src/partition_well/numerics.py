@@ -11,7 +11,8 @@ here supply the rest:
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used wherever a dropped sum or integral tail is bounded.
 * :func:`quad_semi_infinite` - adaptive quadrature over breakpoints that
-  end at ``inf`` or at a cut whose tail the caller has bounded.
+  end at ``inf`` or at a cut whose tail the caller has bounded; it serves
+  the boson defect-integral constants of :mod:`.boson_medium` only.
 * :func:`golden_section_minimum` - golden-section search for the minimum of
   a unimodal function, at the caller's precision.
 

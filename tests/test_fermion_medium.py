@@ -16,9 +16,21 @@ from partition_well.fermion_medium import (
     tanh_surrogate_quadratic,
 )
 from partition_well.model import FERMION, W_MINUS, W_PLUS
-from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy, \
-    gaussian_tail_upper_bound
+from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy
 from partition_well.oracle import net_force, solve_alpha
+
+
+def _occupancy(alpha, y):
+    return 1 / (mp.exp(alpha + y * y) + 1)
+
+
+def _polylog_pair(alpha):
+    """(I, I') from DLMF 25.12(iii): I = -(sqrt(pi)/2) Li_{1/2}(-e^-alpha) and
+    I' = (sqrt(pi)/2) Li_{-1/2}(-e^-alpha); for alpha < 0 polylog returns an
+    mpc whose imaginary part is rounding noise."""
+    z = -mp.exp(-alpha)
+    return (-mp.sqrt(mp.pi) / 2 * mp.re(mp.polylog(mpf(1) / 2, z)),
+            mp.sqrt(mp.pi) / 2 * mp.re(mp.polylog(-mpf(1) / 2, z)))
 
 
 class TestFermiIntegral:
@@ -56,18 +68,14 @@ class TestFermiIntegral:
         vals = [fermi_integral(a, "quadrature").I for a in alphas]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
-    # the Fermi edge y = sqrt(-alpha) inside and far beyond the fixed breakpoints
-    @pytest.mark.parametrize("alpha", ["-2.5", "-324", "-900"])
+    # the compare range of alpha, and Fermi edges y = sqrt(-alpha) up to 200
+    @pytest.mark.parametrize("alpha", ["1.4", "0.3", "-1.2", "-2.5", "-4.3", "-324",
+                                       "-900", "-40000"])
     def test_matches_polylog_closed_forms(self, alpha):
-        # DLMF 25.12(iii): I = -(sqrt(pi)/2) Li_{1/2}(-e^-alpha) and
-        # I' = (sqrt(pi)/2) Li_{-1/2}(-e^-alpha); for alpha < 0 polylog
-        # returns an mpc whose imaginary part is rounding noise
         alpha = mpf(alpha)
         v = fermi_integral(alpha, "quadrature")
         with mp.workdps(40):
-            z = -mp.exp(-alpha)
-            I = -mp.sqrt(mp.pi) / 2 * mp.re(mp.polylog(mpf(1) / 2, z))
-            Ip = mp.sqrt(mp.pi) / 2 * mp.re(mp.polylog(-mpf(1) / 2, z))
+            I, Ip = _polylog_pair(alpha)
         assert abs(v.I / I - 1) < mpf("1e-20")
         assert abs(v.I_prime / Ip - 1) < mpf("1e-20")
 
@@ -100,19 +108,19 @@ class TestAlphaFromTemperature:
 
     @pytest.mark.parametrize("t", [25, 100, 2500])
     def test_newton_work_at_compare_points(self, t, monkeypatch, root_evaluations):
-        quads = []
-        quad = fermion_medium.quad_semi_infinite
+        pairs = []
+        pair = fermion_medium._trapezoid_pair
 
-        def counting_quad(*args, **kwargs):
-            quads.append(1)
-            return quad(*args, **kwargs)
+        def counting_pair(*args, **kwargs):
+            pairs.append(1)
+            return pair(*args, **kwargs)
 
         evals = root_evaluations(fermion_medium)
-        monkeypatch.setattr(fermion_medium, "quad_semi_infinite", counting_quad)
+        monkeypatch.setattr(fermion_medium, "_trapezoid_pair", counting_pair)
         alpha_from_temperature(10, t, "quadrature")
-        # one quadrature gives I and I' together
+        # one trapezoid sum gives I and I' together
         assert evals == [7]
-        assert len(quads) == evals[0]
+        assert len(pairs) == evals[0]
 
     @pytest.mark.parametrize("variant,t,evaluations", [
         ("tanh_surrogate", 25, 9), ("tanh_surrogate", 50, 8),
@@ -172,31 +180,88 @@ class TestClosedFormEnds:
                 assert fermi_integral(-(5 * target / 4) ** 2, "tanh_surrogate").I > target
 
 
+PAIR_ALPHAS = pytest.mark.parametrize(
+    "alpha", ["30", "0", "-2.5", "-16", "-16.5", "-324", "-900"])
+PAIR_TARGETS = pytest.mark.parametrize("target", [1e-12, 1e-100])
+
+
+def _sum_target(target):
+    # the pair sums to min(target_abs_error, 10^(-working_digits))
+    return min(mpf(target), mpf(10) ** -DEFAULT_POLICY.working_digits)
+
+
 class TestPairCut:
-    """The paired Fermi quadrature ends at a cut whose tail is proven small."""
+    """The Fermi pair's trapezoid sum: strip bound, step, plateau and cut."""
 
-    @pytest.mark.parametrize("target,u_cut", [(1e-12, 12), (1e-100, 18)])
-    @pytest.mark.parametrize("alpha", ["30", "0", "-2.5", "-16", "-16.5", "-324", "-900"])
-    def test_envelope_and_cut_tail(self, alpha, target, u_cut):
-        policy = PrecisionPolicy(target_abs_error=target)
-        with mp.workdps(policy.dps):
+    @PAIR_ALPHAS
+    def test_strip_bound_on_every_line(self, alpha):
+        with mp.workdps(20):
             alpha = mpf(alpha)
-            points = fermion_medium._pair_points(alpha, policy)
-            # the cut lies u past the Fermi edge once that lies beyond y = 4
-            y0 = mp.sqrt(-alpha) if alpha < -16 else mpf(0)
-            assert points == sorted(points) and points[-1] == y0 + u_cut
+            a, M, M_prime = fermion_medium.fermi_strip(alpha)
+            # y -> y/sqrt(b) scales the strip and both integrals by 1/sqrt(b)
+            for mine, scaled in zip(fermion_medium.fermi_strip(alpha, 4), (a, M, M_prime)):
+                assert abs(mine / (scaled / 2) - 1) < mpf(10) ** -15
+            X = mpf("0.45") * mp.pi / a  # 2 a X = 0.9 pi
+            for c in (a, a / 2, -a):
+                s = lambda x: _occupancy(alpha, mpc(x, c))
+                # the peak of |s| lies near Re w = 0, a width 1/(2 x_e) wide
+                x_e = mp.sqrt(max(c * c - alpha, 1))
+                points = sorted({mpf(0), X + 1, X + 4} | {
+                    x_e + k * 2 ** n / (2 * x_e) for k in (-1, 0, 1) for n in range(5)
+                    if x_e + k * 2 ** n / (2 * x_e) > 0})
+                points.append(mp.inf)
+                # |s| is even in x
+                assert 2 * mp.quad(lambda x: abs(s(x)), points) <= M
+                assert 2 * mp.quad(lambda x: abs(s(x) * (1 - s(x))), points) <= M_prime
 
-            def size(y):
-                s = 1 / (mp.exp(alpha + y * y) + 1)
-                return abs(mpc(s, -s * (1 - s)))
+    # u_cut: where the former quadrature cut, u_cut past y0 = sqrt(-alpha)
+    # (y0 = 0 for alpha >= -16); the proven cut of the sum lies inside it
+    @pytest.mark.parametrize("target,u_cut", [(1e-12, 12), (1e-100, 18)])
+    @PAIR_ALPHAS
+    def test_envelope_and_cut_tail(self, alpha, target, u_cut, monkeypatch):
+        cuts = []
+        tail = fermion_medium.gaussian_tail_upper_bound
+        monkeypatch.setattr(fermion_medium, "gaussian_tail_upper_bound",
+                            lambda y: cuts.append(y) or tail(y))
+        with mp.workdps(DEFAULT_POLICY.dps):
+            alpha, eps = mpf(alpha), _sum_target(target)
+            fermi_integral(alpha, policy=PrecisionPolicy(target_abs_error=target))
+            y = cuts[-1]
+            # s (1 - s) <= s decreases, so the points after y sum to at most
+            # the integral of s from y
+            assert mp.quad(lambda v: _occupancy(alpha, v), [y, y + 1, mp.inf]) <= eps / 4
+            assert y <= (mp.sqrt(-alpha) if alpha < -16 else 0) + u_cut
 
-            # |s - i s (1 - s)| <= c e^(-u^2) at y = y0 + u, up to rounding
-            c = mp.sqrt(2) * mp.exp(-alpha - y0 ** 2)
-            for k in range(241):
-                u = mpf(k) / 8
-                assert size(y0 + u) <= c * mp.exp(-u * u) * (1 + mpf(10) ** (5 - mp.dps))
-            assert c * gaussian_tail_upper_bound(u_cut) <= mpf(target) / 4
-            assert mp.quad(size, [points[-1], mp.inf]) <= mpf(target) / 4
+    @PAIR_TARGETS
+    @PAIR_ALPHAS
+    def test_plateau_holes_within_bound(self, alpha, target):
+        with mp.workdps(DEFAULT_POLICY.dps):
+            alpha, eps = mpf(alpha), _sum_target(target)
+            h, j0, L = fermion_medium._fermi_lattice(alpha, eps)
+            holes = [1 / (mp.exp(-alpha - (j * h) ** 2) + 1) for j in range(j0)]
+            assert all(hole <= mp.exp(-L) for hole in holes)
+            assert h * (mp.fsum(holes) - (holes[0] / 2 if holes else 0)) <= eps / 8
+            # the plateau ends at the first point with alpha + y^2 > -L
+            assert alpha + (j0 * h) ** 2 > -L
+            assert j0 == 0 or alpha + ((j0 - 1) * h) ** 2 <= -L
+
+    @PAIR_TARGETS
+    @PAIR_ALPHAS
+    def test_coarser_steps_within_aliasing_formula(self, alpha, target):
+        with mp.workdps(DEFAULT_POLICY.dps):
+            alpha, eps = mpf(alpha), _sum_target(target)
+            a, M, M_prime = fermion_medium.fermi_strip(alpha)
+            h = fermion_medium._fermi_lattice(alpha, eps)[0]
+            assert M_prime / mp.expm1(2 * mp.pi * a / h) <= eps / 4 * (1 + mpf(10) ** -20)
+        with mp.workdps(60):
+            I, I_prime = _polylog_pair(alpha)
+            for step in (2 * h, 3 * h):
+                s = [_occupancy(alpha, j * step) for j in
+                     range(int(mp.sqrt(max(160 - alpha, 0)) / step) + 2)]
+                d = [v * (1 - v) for v in s]
+                aliasing = 1 / mp.expm1(2 * mp.pi * a / step)
+                assert abs(step * (mp.fsum(s) - s[0] / 2) - I) <= M * aliasing
+                assert abs(-step * (mp.fsum(d) - d[0] / 2) - I_prime) <= M_prime * aliasing
 
 
 class TestForceKernel:
