@@ -35,9 +35,16 @@ from .numerics import DEFAULT_POLICY, PrecisionExhausted, PrecisionPolicy, \
     quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
-    "FermiIntegralValue", "VariantDomainError", "STONER_INTERVAL", "fermi_integral",
-    "fermi_integral_ends", "fermi_strip", "alpha_from_temperature", "force_kernel",
-    "force_kernel_minimum", "fermion_medium_net_force", "alpha_split_subleading",
+    "FermiIntegralValue",
+    "VariantDomainError",
+    "STONER_INTERVAL",
+    "fermi_integral",
+    "fermi_integral_ends",
+    "alpha_from_temperature",
+    "force_kernel",
+    "force_kernel_minimum",
+    "fermion_medium_net_force",
+    "alpha_split_subleading",
     "tanh_surrogate_quadratic",
 ]
 
@@ -72,23 +79,23 @@ def _check_variant(alpha, variant: str, pure_series_derivative: bool):
         raise ValueError("pure_series_derivative only applies to the stoner variant")
 
 
-def fermi_strip(alpha, b=1) -> tuple:
-    """(a, M, M'): |s| and |s (1 - s)|, s = 1/(e^w + 1), w = alpha + b y^2,
+def _fermi_strip(alpha) -> tuple:
+    """(a, M, M'): |s| and |s (1 - s)|, s = 1/(e^w + 1), w = alpha + y^2,
     integrate to at most M and M' along every line of the strip |Im y| <= a.
 
-    At y = x + i c, rho = Re w, theta = Im w = 2 b c x: |s| <= 2 where rho <=
+    At y = x + i c, rho = Re w, theta = Im w = 2 c x: |s| <= 2 where rho <=
     -ln 2, and |s| <= 2 e^(-rho) where rho >= ln 2.  In between, |e^w + 1|^2 =
     (1 - r)^2 + 4 r cos^2(theta/2), r = e^rho >= 1/2, so |s| <= 1/(sqrt(2)
     cos 0.45 pi) < 4.53 while |theta| <= 0.9 pi.  rho < ln 2 only in |x| < X,
-    X^2 = a^2 + (ln 2 - alpha)/b, and 2 b a X = 0.9 pi (a quadratic in X^2)
-    sets a for every alpha.  Beyond X, |s| <= e^(b (X^2 - x^2)), of integral
-    <= 1/(b X): M = 9.06 X + 1/(b X), and |s (1 - s)| <= |s| (1 + |s|) gives
-    M' = 50.11 X + 2/(b X).
+    X^2 = a^2 + ln 2 - alpha, and 2 a X = 0.9 pi (a quadratic in X^2) sets a
+    for every alpha.  Beyond X, |s| <= e^(X^2 - x^2), of integral <= 1/X:
+    M = 9.06 X + 1/X, and |s (1 - s)| <= |s| (1 + |s|) gives M' = 50.11 X +
+    2/X.
     """
     k, c = mpf("0.9") * mp.pi, mp.ln2 - alpha
     root = mp.hypot(c, k)
-    X = mp.sqrt(((c + root) / 2 if c >= 0 else k * k / (2 * (root - c))) / b)
-    return k / (2 * b * X), mpf("9.06") * X + 1 / (b * X), mpf("50.11") * X + 2 / (b * X)
+    X = mp.sqrt((c + root) / 2 if c >= 0 else k * k / (2 * (root - c)))
+    return k / (2 * X), mpf("9.06") * X + 1 / X, mpf("50.11") * X + 2 / X
 
 
 def _fermi_lattice(alpha: mpf, target: mpf) -> tuple:
@@ -96,22 +103,31 @@ def _fermi_lattice(alpha: mpf, target: mpf) -> tuple:
     & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), and the j0 <= sqrt(-alpha)/h
     + 1 points with alpha + y^2 <= -L, whose holes 1 - s <= e^(-L) sum to
     at most target/8."""
-    a, _, m_prime = fermi_strip(alpha)
+    a, _, m_prime = _fermi_strip(alpha)
     h = 2 * mp.pi * a / mp.log1p(4 * m_prime / target)
     L = mp.log(8 * (mp.sqrt(max(-alpha, 0)) + h) / target)
-    return h, int(mp.sqrt(-alpha - L) / h) + 1 if alpha < -L else 0, L
+    return h, int(mp.sqrt(-alpha - L) / h) + 1 if alpha < -L else 0
+
+
+def _pair_target(alpha: mpf, policy: PrecisionPolicy) -> mpf:
+    # eps = min(target_abs_error, 10^(-working_digits)) times the lower bound
+    # I >= (sqrt(pi)/2)/(e^alpha + 1) of fermi_integral_ends, so the pair keeps
+    # eps relative however small I gets (|I'| >= I/2 for alpha > 0)
+    ealpha = mp.exp(-alpha)
+    eps = min(mpf(policy.target_abs_error), mpf(10) ** -policy.working_digits)
+    return eps * mp.sqrt(mp.pi) / 2 * ealpha / (1 + ealpha)
 
 
 def _trapezoid_pair(alpha: mpf, policy: PrecisionPolicy):
     """(I, I') = h (s(0)/2 + sum_(j>=1) s(j h)) and the same of -s (1 - s), to
-    target = min(target_abs_error, 10^(-working_digits)): the aliasing and
-    plateau of :func:`_fermi_lattice` (s = 1 there) and the cut, after which
-    s (1 - s) <= s < e^(-alpha - y^2) sum to <= e^(-alpha) times the Gaussian
-    tail from y, take 5/8 of it.  u = e^(-alpha - y^2) steps as in the oracle."""
-    target = min(mpf(policy.target_abs_error), mpf(10) ** -policy.working_digits)
-    h, j0, _ = _fermi_lattice(alpha, target)
+    :func:`_pair_target`: the aliasing and plateau of :func:`_fermi_lattice`
+    (s = 1 there) and the cut, after which s (1 - s) <= s < e^(-alpha - y^2)
+    sum to <= e^(-alpha) times the Gaussian tail from y, take 5/8 of it.
+    u = e^(-alpha - y^2) steps as in the oracle."""
+    target, ealpha = _pair_target(alpha, policy), mp.exp(-alpha)
+    h, j0 = _fermi_lattice(alpha, target)
     u = mp.exp(-alpha - (j0 * h) ** 2)
-    r, shrink, ealpha = mp.exp(-(2 * j0 + 1) * h * h), mp.exp(-2 * h * h), mp.exp(-alpha)
+    r, shrink = mp.exp(-(2 * j0 + 1) * h * h), mp.exp(-2 * h * h)
     occ = u / (1 + u)
     s_n, s_d = (j0 - mpf(1) / 2, 0) if j0 else (-occ / 2, -occ * (1 - occ) / 2)
     for j in range(j0, j0 + 10 ** 7):
@@ -212,21 +228,26 @@ _DAWSON_X_MAX = mpf("0.6424")
 def fermi_integral_ends(target: mpf) -> tuple:
     """Padded ends (lo, hi) with I(lo) > target > I(hi), from closed bounds on I.
 
-    Upper end: s < e^(-alpha - y^2) gives I < (sqrt(pi)/2) e^(-alpha), so
-    hi = log((sqrt(pi)/2)/target).  At alpha = -y0^2, s <= 1 below the edge
-    and s < e^(-2 y0 (y - y0)) beyond it give I < y0 + 1/(2 y0), so hi =
-    -y0^2 at y0 = (target + sqrt(target^2 - 2))/2 when target > sqrt(2).
+    Upper end: Boltzmann occupancy bounds the Fermi one from above, so
+    I < (sqrt(pi)/2) e^(-alpha) and hi = log((sqrt(pi)/2)/target).  For
+    alpha = -y0^2 < 0 also s <= 1 below the edge and s < e^(-2 y0 (y - y0))
+    beyond it, so I < y0 + 1/(2 y0); when target > sqrt(2) this gives
+    hi = -y0^2 at y0 = (target + sqrt(target^2 - 2))/2.
 
-    Lower end: s >= 1 - exp(alpha + y^2) puts the part of I below the edge
-    at y0 - F(y0) or more, F Dawson's integral.  F <= 0.5411 and x F(x) <=
-    0.6424 give I > y0 - min(0.5411, 0.6424/y0), above the target from y0 =
-    min(target + 0.5411, (target + sqrt(target^2 + 4 (0.6424)))/2) on, so
-    lo = -y0^2 (the second is smaller above target 0.6461).  And
+    Lower end: 1/(x + 1) >= 1 - x gives s >= 1 - exp(alpha + y^2), so at
+    alpha = -y0^2 the part of I below the edge is at least y0 - F(y0), with
+    F Dawson's integral.  F <= max F = 0.5411 and x F(x) <= 0.6424 give
+    I > y0 - min(0.5411, 0.6424/y0), which exceeds the target from
+    y0 = min(target + 0.5411, (target + sqrt(target^2 + 4 (0.6424)))/2) on;
+    hence lo = -y0^2 (the second form is the smaller one above the
+    crossover target 0.6424/0.5411 - 0.5411 = 0.6461).  And
     exp(alpha + y^2) + 1 <= (e^alpha + 1) e^(y^2) gives I >= (sqrt(pi)/2)
-    / (e^alpha + 1), so lo = log((sqrt(pi)/2)/target - 1) when target <
-    sqrt(pi)/2.  The tighter candidate is taken at each end, and both are
-    padded outward by 10^(4 - dps) max(1, |x|).  The oracle bounds its
-    soft-step fermion constraint with the same lower end.
+    / (e^alpha + 1), hence lo = log((sqrt(pi)/2)/target - 1) when target <
+    sqrt(pi)/2.
+
+    The tighter candidate is taken at each end, and both ends are padded
+    outward by 10^(4 - dps) max(1, |x|).  The oracle bounds its soft-step
+    fermion constraint with the same lower end.
     """
     half_root_pi = mp.sqrt(mp.pi) / 2
     hi = mp.log(half_root_pi / target)
@@ -329,4 +350,7 @@ def tanh_surrogate_quadratic(policy: PrecisionPolicy = DEFAULT_POLICY,
         J0 = J(a_star)
         J1 = mp.diff(J, a_star)
         J2 = mp.diff(J, a_star, 2)
-        return J2 / 2, a_star - J1 / J2, J0 - J1 ** 2 / (2 * J2)
+        curvature = J2 / 2
+        center = a_star - J1 / J2
+        minimum = J0 - J1 ** 2 / (2 * J2)
+        return curvature, center, minimum
