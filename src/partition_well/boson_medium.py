@@ -28,7 +28,8 @@ from mpmath import mp, mpf
 
 from .model import W_MINUS, W_PLUS, WellSide, as_mpf
 from .numerics import DEFAULT_POLICY, PrecisionPolicy, \
-    find_root_bracketed, quad_semi_infinite
+    find_root_bracketed, \
+    quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
     "ScaledAlphaSolution",
@@ -246,57 +247,21 @@ def quadratic_approximant(variant: str = "improved"):
         return a2, center, minimum
 
 
-@lru_cache(maxsize=None)
-def _bose_defect_series_terms(nterms: int = 14):
-    """Coefficients c_k of 1/(e^z - 1) - 1/z = -1/2 + sum_k c_k z^{2k-1}."""
-    with mp.workdps(DEFAULT_POLICY.dps + 10):
-        return tuple(mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, nterms + 1))
-
-
-def occupancy_defect_integrand(y) -> mpf:
-    """1/(exp(y^2) - 1) - 1/y^2, the classical-occupancy defect.
-
-    Evaluated by its Bernoulli series for small y to dodge the cancellation
-    of the two poles; decays like -1/y^2 at infinity.
-    """
-    z = mpf(y) ** 2
-    if z < mpf("0.5"):
-        s = -mpf(1) / 2
-        zp = z
-        for c in _bose_defect_series_terms():
-            s += c * zp
-            zp *= z * z
-        return s
-    return 1 / (mp.exp(z) - 1) - 1 / z
-
-
-def occupancy_defect_slope_integrand(y) -> mpf:
-    """1/y^4 - exp(y^2)/(exp(y^2) - 1)^2, the defect of the slope.
-
-    Series form sum_k (2k-1) c_k z^{2k-2} near zero; decays like 1/y^4.
-    """
-    z = mpf(y) ** 2
-    if z < mpf("0.5"):
-        s = mpf(0)
-        zp = mpf(1)
-        for k, c in enumerate(_bose_defect_series_terms(), start=1):
-            s += (2 * k - 1) * c * zp
-            zp *= z * z
-        return s
-    ez = mp.exp(z)
-    return 1 / z ** 2 - ez / (ez - 1) ** 2
-
-
 def medium_error_integral_constants(policy: PrecisionPolicy = DEFAULT_POLICY):
     """The two integrals controlling the medium-regime approximation error.
 
-    Integrals over [0, inf) of the two defect integrands; they multiply t
-    and alpha in the error estimate of the classical-occupancy constraint.
-    The integrands fall off only like 1/y^2 and 1/y^4, so the quadrature
-    runs to infinity with no cut.
+    C1 = integral_0^inf [1/(e^(y^2) - 1) - 1/y^2] dy and C2 = integral_0^inf
+    [1/y^4 - e^(y^2)/(e^(y^2) - 1)^2] dy, the defects of the classical
+    occupancy and of its slope; they multiply t and alpha in the error
+    estimate of the classical-occupancy constraint.  Both are closed forms.
+    With x = y^2 and g(x) = 1/(e^x - 1) - 1/x, C1 = (1/2) integral
+    x^(-1/2) g dx and C2 = (1/2) integral x^(-1/2) g' dx.  The Mellin
+    transform of g is Gamma(s) zeta(s) on 0 < Re s < 1, so C1 = (sqrt(pi)/2)
+    zeta(1/2).  g + 1/2 ~ x/12 at 0 and -> 1/2 at inf, so by parts C2 =
+    (1/4) integral x^(-3/2) (g + 1/2) dx, and on -1 < Re s < 0 the Mellin
+    transform of g + 1/2 is again Gamma(s) zeta(s): with Gamma(-1/2) =
+    -2 sqrt(pi), C2 = -(sqrt(pi)/2) zeta(-1/2).
     """
     with mp.workdps(policy.dps):
-        points = [0, 1, 2, 4, 8, 16, 64, mp.inf]
-        first = quad_semi_infinite(occupancy_defect_integrand, points, policy)
-        second = quad_semi_infinite(occupancy_defect_slope_integrand, points, policy)
-        return first, second
+        half = mpf(1) / 2
+        return mp.sqrt(mp.pi) / 2 * mp.zeta(half), -mp.sqrt(mp.pi) / 2 * mp.zeta(-half)

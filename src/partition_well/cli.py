@@ -277,15 +277,18 @@ def _approximate(names, N: int, stat: Statistics, point) -> list:
 
 
 def _sweep(cfg: RunConfig, names=None) -> list:
-    """The exact curve on the configured grid, over ``jobs`` processes; with
-    approximation ``names``, (point, :func:`_approximate` values) pairs
-    computed in the same per-point call."""
+    """The exact curve on the configured grid, over up to ``jobs`` processes
+    (no more than grid points or CPUs); with approximation ``names``,
+    (point, :func:`_approximate` values) pairs computed in the same
+    per-point call."""
     args = (cfg.stat, cfg.particles_N, cfg.grid.temperatures(), cfg.policy)
     each = None if names is None else \
         partial(_approximate, tuple(names), cfg.particles_N, cfg.stat)
     if cfg.jobs == 1:
         return oracle.sweep_curve(*args, each=each)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the fork start method launches every worker at the first submit
+    workers = min(cfg.jobs, cfg.grid.points, os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return oracle.sweep_curve(*args, map=pool.map, each=each)
 
 

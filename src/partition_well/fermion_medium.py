@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .numerics import DEFAULT_POLICY, PrecisionExhausted, PrecisionPolicy, \
-    find_root_bracketed, gaussian_tail_upper_bound, golden_section_minimum, \
+    find_root_bracketed, gaussian_tail_upper_bound, \
     quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
@@ -52,6 +52,10 @@ VARIANTS = ("quadrature", "stoner", "tanh_surrogate")
 
 # validity window of the truncated asymptotic series for I
 STONER_INTERVAL = (mpf("-3.696"), mpf("-1.314"))
+# step of the centred differences of the kernel J: J carries about 30
+# digits (the Fermi pair's relative target), so the rounding error 1e-30/h
+# and the truncation error h^2 of a difference quotient both come to 1e-20
+KERNEL_DIFF_STEP = mpf("1e-10")
 
 
 class VariantDomainError(ValueError):
@@ -195,26 +199,29 @@ def force_kernel(alpha, variant: str = "quadrature",
     Positive for alpha < 0; equals -2/((e^alpha + 1) d(I^2)/dalpha).
     """
     with mp.workdps(policy.dps):
-        alpha = mpf(alpha)
-        if variant == "tanh_surrogate":
-            _check_variant(alpha, variant, pure_series_derivative)
-            _, _, _, dI2 = _surrogate_pieces(alpha)
-            return -2 / ((mp.exp(alpha) + 1) * dI2)
         v = fermi_integral(alpha, variant, pure_series_derivative, policy)
-        return -1 / ((mp.exp(alpha) + 1) * v.I * v.I_prime)
+        return -1 / ((mp.exp(v.alpha) + 1) * v.I * v.I_prime)
 
 
 def force_kernel_minimum(variant: str = "quadrature",
                          policy: PrecisionPolicy = DEFAULT_POLICY,
                          bracket=(-5, -1)):
-    """Golden-section minimum (alpha_min, J_min) of the force kernel."""
+    """Minimum (alpha_min, J_min) of the force kernel, as the root of J'.
+
+    J'(alpha) is the centred difference (J(alpha + h) - J(alpha - h))/(2 h)
+    at h = :data:`KERNEL_DIFF_STEP`, found by :func:`find_root_bracketed`
+    between the bracket ends pulled in by h (after clamping the stoner
+    variant to its validity window, so that J stays defined at alpha +- h).
+    A bracket without the minimum inside raises :class:`NoSignChange`.
+    """
     with mp.workdps(policy.dps):
         lo, hi = mpf(bracket[0]), mpf(bracket[1])
         if variant == "stoner":
             lo = max(lo, STONER_INTERVAL[0])
             hi = min(hi, STONER_INTERVAL[1])
         J = lambda a: force_kernel(a, variant, policy=policy)
-        a = golden_section_minimum(J, lo, hi, mpf("1e-6"))
+        h = KERNEL_DIFF_STEP
+        a = find_root_bracketed(lambda x: mp.diff(J, x, h=h), lo + h, hi - h, policy).root
         return a, J(a)
 
 
@@ -335,21 +342,17 @@ def tanh_surrogate_quadratic(policy: PrecisionPolicy = DEFAULT_POLICY,
                              alpha_star=mpf("-2.5")):
     """Quadratic Taylor model a (alpha - center)^2 + minimum of the surrogate kernel.
 
-    Expands the tanh-surrogate J to second order about ``alpha_star`` and
-    completes the square; the coefficients are recomputed rather than
-    frozen.  Returns (a, center, minimum).
+    Expands the tanh-surrogate J to second order about ``alpha_star``, by
+    centred differences at :data:`KERNEL_DIFF_STEP`, and completes the
+    square; the coefficients are recomputed rather than frozen.  Returns
+    (a, center, minimum).
     """
     with mp.workdps(policy.dps):
         a_star = mpf(alpha_star)
-
-        def J(a):
-            # ambient-precision closure: mp.diff varies its working precision
-            _, _, _, dI2 = _surrogate_pieces(mpf(a))
-            return -2 / ((mp.exp(a) + 1) * dI2)
-
+        J = lambda a: force_kernel(a, "tanh_surrogate", policy=policy)
         J0 = J(a_star)
-        J1 = mp.diff(J, a_star)
-        J2 = mp.diff(J, a_star, 2)
+        J1 = mp.diff(J, a_star, h=KERNEL_DIFF_STEP)
+        J2 = mp.diff(J, a_star, 2, h=KERNEL_DIFF_STEP)
         curvature = J2 / 2
         center = a_star - J1 / J2
         minimum = J0 - J1 ** 2 / (2 * J2)

@@ -11,10 +11,9 @@ here supply the rest:
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used wherever a dropped sum or integral tail is bounded.
 * :func:`quad_semi_infinite` - adaptive quadrature over breakpoints that
-  end at ``inf`` or at a cut whose tail the caller has bounded; it serves
-  the boson defect-integral constants of :mod:`.boson_medium` only.
-* :func:`golden_section_minimum` - golden-section search for the minimum of
-  a unimodal function, at the caller's precision.
+  end at ``inf`` or at a cut whose tail the caller has bounded.  No code in
+  the package calls it; it is kept because perfbench's tracer wraps the
+  names :mod:`.boson_medium` and :mod:`.fermion_medium` import.
 
 The other routines are pure and run at the precision requested by the
 supplied :class:`PrecisionPolicy`.
@@ -38,7 +37,6 @@ __all__ = [
     "find_root_bracketed",
     "gaussian_tail_upper_bound",
     "quad_semi_infinite",
-    "golden_section_minimum",
     "SOLVER_FAILURES",
 ]
 
@@ -251,26 +249,3 @@ def quad_semi_infinite(integrand: Callable, points,
         raise NonConvergent(
             f"quadrature error estimate {mp.nstr(err, 4)} above target "
             f"{policy.target_abs_error}")
-
-
-def golden_section_minimum(func: Callable, lo, hi, width):
-    """Midpoint of the final bracket of a golden-section search on [lo, hi].
-
-    ``func`` must be unimodal on the bracket; the search stops once the
-    bracket is at most ``width`` wide.  Runs at the caller's precision.
-    """
-    lo, hi, width = mpf(lo), mpf(hi), mpf(width)
-    inv_phi = (mp.sqrt(5) - 1) / 2
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = func(x1), func(x2)
-    while hi - lo > width:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = func(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = func(x2)
-    return (lo + hi) / 2

@@ -271,3 +271,11 @@ def test_error_integral_constants():
     first, second = medium_error_integral_constants()
     assert abs(first - mpf("-1.2942")) < mpf("1e-3")
     assert abs(second - mpf("0.1842")) < mpf("1e-3")
+
+
+def test_error_integral_constants_closed_forms():
+    # 40-digit quadratures of the two defect integrands (a Bernoulli series
+    # near y = 0, where the poles of 1/(e^(y^2) - 1) and 1/y^2 cancel)
+    first, second = medium_error_integral_constants()
+    assert abs(first - mpf("-1.294205486413392738339723088222208810")) < mpf("1e-30")
+    assert abs(second - mpf("0.184234370005661285961980828086988814")) < mpf("1e-30")

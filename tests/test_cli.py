@@ -89,6 +89,30 @@ class TestCurve:
         assert run_cli(base + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("jobs, points, cpus, workers", [
+        ("100000", 2, 4, 2), ("3", 8, 4, 3), ("100000", 8, 4, 4), ("100000", 8, None, 1)])
+    def test_pool_size_capped(self, jobs, points, cpus, workers, monkeypatch):
+        # an in-process stand-in records the pool size; no process is started
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run_cli(["curve", "--stat", "boson", "--N", "2",
+                        "--t", f"1:2:{points}:log", "--jobs", jobs]) == 0
+        assert sizes == [workers]
+
     @pytest.mark.parametrize("command", [["curve"], ["compare", "--approx", "high_next"]])
     def test_numeric_failure_names_grid_point(self, command, monkeypatch, capsys):
         original = oracle.net_force

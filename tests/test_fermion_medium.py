@@ -16,7 +16,8 @@ from partition_well.fermion_medium import (
     tanh_surrogate_quadratic,
 )
 from partition_well.model import FERMION, W_MINUS, W_PLUS
-from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS, PrecisionPolicy
+from partition_well.numerics import DEFAULT_POLICY, GUARD_DIGITS, NoSignChange, \
+    PrecisionPolicy
 from partition_well.oracle import net_force, solve_alpha
 
 
@@ -272,6 +273,38 @@ class TestForceKernel:
         a_min, j_min = force_kernel_minimum("stoner")
         assert abs(a_min - mpf("-1.95")) < mpf("0.02")
         assert abs(j_min - mpf("1.96")) < mpf("0.02")
+
+    # the root of the centred-difference J' lies within about 1e-20 of the
+    # true minimum; a search that stops at a 1e-6 wide bracket misses 1e-10
+    MIN_BAND = mpf("1e-10")
+
+    def test_quadrature_minimum_location(self):
+        # root of d log J/dalpha = -e^alpha/(e^alpha + 1) - I'/I - I''/I' at
+        # 45 digits, with I, I', I'' = -(sqrt(pi)/2) Li_{1/2},
+        # (sqrt(pi)/2) Li_{-1/2} and -(sqrt(pi)/2) Li_{-3/2} of -e^(-alpha);
+        # pinned, since each polylog evaluation takes about 1 s
+        a_min, _ = force_kernel_minimum("quadrature")
+        assert abs(a_min - mpf("-2.567271565695175025")) < self.MIN_BAND
+
+    def test_stoner_minimum_location(self):
+        # d log J/dalpha = -e^alpha/(e^alpha + 1) - (2c/alpha^3)/(1 - c/alpha^2),
+        # c = pi^2/24, for I = sqrt(-alpha) (1 - c/alpha^2), I' = -1/(2 sqrt(-alpha))
+        with mp.workdps(50):
+            c = mp.pi ** 2 / 24
+            ref = mp.findroot(lambda a: -mp.exp(a) / (mp.exp(a) + 1)
+                              - (2 * c / a ** 3) / (1 - c / a ** 2), mpf("-1.95"))
+        assert abs(ref - mpf("-1.948149919360992247")) < mpf("1e-18")
+        a_min, _ = force_kernel_minimum("stoner")
+        assert abs(a_min - ref) < self.MIN_BAND
+
+    def test_tanh_surrogate_minimum_location(self):
+        # root of mp.diff of the surrogate's closed-form J at 60 digits
+        a_min, _ = force_kernel_minimum("tanh_surrogate")
+        assert abs(a_min - mpf("-2.4808844510613957716")) < self.MIN_BAND
+
+    def test_bracket_without_the_minimum_raises(self):
+        with pytest.raises(NoSignChange):
+            force_kernel_minimum("quadrature", bracket=(-2, -1))
 
     def test_positive_with_single_interior_minimum(self):
         alphas = [mpf(-5) + mpf(4) * i / 24 for i in range(25)]

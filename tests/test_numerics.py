@@ -12,7 +12,6 @@ from partition_well.numerics import (
     PrecisionPolicy,
     find_root_bracketed,
     gaussian_tail_upper_bound,
-    golden_section_minimum,
     quad_semi_infinite,
 )
 
@@ -33,21 +32,6 @@ class TestPolicy:
         with pytest.raises(PrecisionExhausted):
             r.escalate()
         assert r.dps == 70 + GUARD_DIGITS
-
-
-class TestGoldenSection:
-    def test_parabola_minimum_within_width(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return (x - mpf("0.3")) ** 2
-
-        x = golden_section_minimum(f, -1, 2, mpf("1e-8"))
-        assert abs(x - mpf("0.3")) < mpf("1e-8")
-        # one new evaluation per step, each shrinking the bracket by 1/phi:
-        # 3 phi^-41 < 1e-8 < 3 phi^-40
-        assert len(calls) == 2 + 41
 
 
 class TestRootFinder:
