@@ -9,10 +9,10 @@ energies under the weight D:
     df/dt = b^2 V,    d^2f/dt^2 = -2 b^3 V - b^4 V_b,
 
 with V = S_2 - S_1^2/S_0 = sum (e - r)^2 D and V_b = dV/db =
--sum (e - r)^3 n'', r = S_1/S_0 the D-weighted mean level.  :func:`moment_sums` runs a second pass over that
-pass's points and cut, summing about the computed mean; :func:`side_derivatives`
-bounds the result.  :mod:`.oracle` imports this module only when a caller
-asks for derivatives.
+-sum (e - r)^3 n'', r = S_1/S_0 the D-weighted mean level.  :func:`moment_sums`
+sums about the computed mean over the points and cut that pass recorded, with
+no walk of its own; :func:`side_derivatives` bounds the result.  :mod:`.oracle`
+imports this module only when a caller asks for derivatives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .oracle import _Lattice, _LevelSums, _LevelTable, _strip
+from .oracle import _LevelSums, _LevelTable, _strip, power_tails
 
 __all__ = ["Moments", "moment_sums", "side_derivatives"]
 
@@ -35,32 +35,6 @@ def gauss_moment_factor(k: int, s: mpf, b: mpf) -> mpf:
         total += math.comb(k, i) * s ** (k - i) * moment
         moment *= (2 * i + 1) / (2 * b)
     return total
-
-
-def power_tails(table: _LevelTable, lattice: _Lattice, ealpha: mpf, j: int,
-                y: mpf, u_next: mpf, k_max: int) -> list:
-    """[R_0, ..., R_k_max]: bounds on the sums of m e_n^k 2 e^(-x_n) over the
-    points after y_j, for a cut where x >= ln 2 (N <= 2 e^(-x)).
-
-    y^(2k) e^(-b y^2) rises up to y^2 = k/b and falls beyond, so the sum over
-    points of spacing m from y_(j+1) on is at most m times its largest value
-    there plus its integral from y_(j+1): with z = sqrt(b) y_(j+1) that
-    integral is e^(-alpha) b^(-k-1/2) G_2k(z), G_0 the Gaussian tail and
-    G_2k(z) = z^(2k-1) e^(-z^2)/2 + (2k - 1)/2 G_2k-2(z).  R_0 and R_1 are
-    the number and force tails of :func:`.oracle._cut`.
-    """
-    m, b, sqrt_b = lattice.m, table.b, table.sqrt_b
-    y_next = y + m
-    e_next, z = y_next * y_next, sqrt_b * y_next
-    ez = mp.exp(-z * z)
-    g = lattice.gauss(j)
-    tails = []
-    for k in range(k_max + 1):
-        if k:
-            g = z ** (2 * k - 1) * ez / 2 + mpf(2 * k - 1) / 2 * g
-        peak = e_next ** k * u_next if b * e_next >= k else (k / (b * mp.e)) ** k * ealpha
-        tails.append(2 * (m * peak + ealpha * g / sqrt_b ** (2 * k + 1)))
-    return tails
 
 
 class Moments(NamedTuple):
@@ -79,38 +53,32 @@ class Moments(NamedTuple):
 
 
 def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
-    """The sums of :class:`Moments` over the points and cut of ``sums``,
-    about c = S_1/S_0 (S_0 = -dnumber, S_1 = -dforce), the D-weighted mean
-    level: the variance-like sums the temperature derivatives need then
-    carry no cancellation.
+    """The sums of :class:`Moments` over the points (e, N) and the cut that
+    ``sums`` recorded, about c = S_1/S_0 (S_0 = -dnumber, S_1 = -dforce),
+    the D-weighted mean level: the variance-like sums the temperature
+    derivatives need then carry no cancellation.
 
     Tails: beyond the cut x >= 1, so D <= 2 N and |n''| <= 3 D, and
-    |w|^k <= (e + |c|)^k; the power tails of :func:`power_tails` then bound
-    them.  Aliasing at m >= 2, from the strip of :func:`.oracle._strip`:
+    |w|^k <= (e + |c|)^k; :func:`.oracle.power_tails` at the recorded cut
+    then bounds them.  Aliasing at m >= 2, from the strip of :func:`.oracle._strip`:
     |y^2 - c| <= x^2 + a^2 + |c|, |n'| <= e^(-Re x)/(1 - e^(-delta))^2 and
     |n''| <= 2 e^(-Re x)/(1 - e^(-delta))^3, so each integrates to M times
     the moment factor of :func:`gauss_moment_factor` at s = a^2 + |c|,
     times 1/(1 - e^(-delta)) per alpha-derivative (twice for n'').
     """
     m = sums.stride
-    lattice = table.lattice(m)
     one, fermion, eta = mpf(1), table.eta < 0, table.eta
     c = sums.dforce / sums.dnumber
-    u = mp.exp(-(alpha + lattice.b_y0))
-    y = lattice.y0
     # per point w^2 D, w^2 and w n''/D; the sums are exact dot products
     q2, w2, w3 = [], [], []
-    for j in range(sums.terms):
-        w = y * y - c
-        occ = u / (one + u if fermion else one - u)
+    for en, occ in sums.points:
+        w = en - c
         w2.append(w * w)
         q2.append(w2[-1] * occ * (one - occ if fermion else one + occ))
         w3.append(w * (one - 2 * occ if fermion else one + 2 * occ))
-        u *= lattice.ratio(j)
-        y += m
     c2, c4, b3 = mp.fsum(q2), mp.fdot(q2, w2), mp.fdot(q2, w3)
     ealpha = mp.exp(-alpha)
-    r = power_tails(table, lattice, ealpha, sums.terms - 1, y - m, u, 4)
+    r = power_tails(table, table.lattice(m), ealpha, *sums.cut, 4)
     # tails of sum m (e + |c|)^k 2 e^(-x), k = 2..4
     p = {k: sum(math.comb(k, i) * abs(c) ** (k - i) * r[i] for i in range(k + 1))
          for k in (2, 3, 4)}
@@ -137,9 +105,9 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
 
 
 def side_derivatives(table: _LevelTable, alpha: mpf, sums: _LevelSums,
-                     alpha_error: mpf, order: int) -> tuple:
-    """((df/dt, bound), (d^2f/dt^2, bound))[:order] of one side's force,
-    from the final level sums ``sums`` at the root ``alpha``.
+                     alpha_error: mpf) -> tuple:
+    """((df/dt, bound), (d^2f/dt^2, bound)) of one side's force, from the
+    final level sums ``sums`` at the root ``alpha``.
 
     About the centre c of :func:`moment_sums`, with d = r - c = C_1/S_0 and
     C_k, B_k the D- and n''-weighted sums of (e - c)^k,
@@ -190,4 +158,4 @@ def side_derivatives(table: _LevelTable, alpha: mpf, sums: _LevelSums,
         v_err = vb_err = mp.inf
     b2, b3, b4 = b * b, b ** 3, b ** 4
     return ((b2 * v, b2 * v_err),
-            (-2 * b3 * v - b4 * vb, 2 * b3 * v_err + b4 * vb_err))[:order]
+            (-2 * b3 * v - b4 * vb, 2 * b3 * v_err + b4 * vb_err))

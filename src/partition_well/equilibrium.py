@@ -96,10 +96,10 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
         def forces(xi):
             # the bracket ends are also the root finder's end points
             if xi not in memo:
-                f_m, _, (df_m, _) = oracle.force_side(stat, W_MINUS, N, t * (1 + xi) ** 2,
-                                                      policy, derivatives=1)
-                f_p, _, (df_p, _) = oracle.force_side(stat, W_PLUS, N, t * (1 - xi) ** 2,
-                                                      policy, derivatives=1)
+                f_m, _, (df_m, _), _ = oracle.force_side(
+                    stat, W_MINUS, N, t * (1 + xi) ** 2, policy, derivatives=True)
+                f_p, _, (df_p, _), _ = oracle.force_side(
+                    stat, W_PLUS, N, t * (1 - xi) ** 2, policy, derivatives=True)
                 memo[xi] = f_m, f_p, df_m, df_p
             return memo[xi]
 

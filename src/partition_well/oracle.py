@@ -52,9 +52,9 @@ a new alpha then costs two exponentials and multiplications.  The table is
 dropped when the solve returns; nothing is cached across solves.
 
 Asked for ``derivatives``, a solve adds df/dt and d^2f/dt^2 of its side,
-each with a certified bound, from a second pass over the final
-evaluation's points (:mod:`.derivatives`).  The searches find the roots of
-these derivatives where their signs are certified, and return each
+each with a certified bound, from the points that the final evaluation
+recorded (:mod:`.derivatives`), with no second walk.  The searches find the
+roots of these derivatives where their signs are certified, and return each
 location with a half-width whose ends carry opposite certified signs.
 """
 
@@ -151,7 +151,7 @@ class CurvePoint:
     f_minus: mpf
     delta_f: mpf
     delta_f_error: mpf
-    # filled by net_force(..., derivatives=1 or 2) only
+    # filled by net_force(..., derivatives=True) only
     d_delta_f_dt: mpf = None
     d_delta_f_dt_error: mpf = None
     d2_delta_f_dt2: mpf = None
@@ -188,6 +188,8 @@ class _LevelSums(NamedTuple):
     tail_dforce: mpf
     terms: int           # points summed
     stride: int
+    points: list         # (e, N) of each summed point, for the moment sums
+    cut: tuple           # (j, y_j, u_(j+1)) of the last summed point
 
 
 def _theta0(beta: mpf, tau: mpf, sigma: int, eps: mpf):
@@ -237,7 +239,7 @@ def _strip(alpha, b):
 class _Lattice:
     """Points y_j = y_0 + m j (j >= 0) of stride m, with the ratios
     e^(-b (2 m y_j + m^2)) of successive weights e^(-b y_j^2), each the last
-    times e^(-2 b m^2), and the Gaussian tail bound after each point."""
+    times e^(-2 b m^2), and the Gaussian tail terms after each point."""
 
     def __init__(self, b: mpf, sqrt_b: mpf, y0: mpf, m: int):
         self.m, self.y0, self.b_y0, self._sqrt_b = m, y0, b * y0 ** 2, sqrt_b
@@ -251,11 +253,12 @@ class _Lattice:
             ratios.append(ratios[-1] * self._shrink)
         return ratios[j]
 
-    def gauss(self, j: int) -> mpf:
-        """Upper bound on the tail integral of e^(-s^2) from sqrt(b) y_(j+1)."""
+    def gauss(self, j: int) -> tuple:
+        """(z, e^(-z^2), G_0) at z = sqrt(b) y_(j+1), G_0 an upper bound on
+        the tail integral of e^(-s^2) from z."""
         if j not in self._gauss:
-            y_next = self.y0 + self.m * (j + 1)
-            self._gauss[j] = gaussian_tail_upper_bound(self._sqrt_b * y_next)
+            z = self._sqrt_b * (self.y0 + self.m * (j + 1))
+            self._gauss[j] = z, mp.exp(-z * z), gaussian_tail_upper_bound(z)
         return self._gauss[j]
 
 
@@ -346,22 +349,43 @@ class _LevelTable:
         return bound * g, dbound * g, bound * weight * g, dbound * weight * g
 
 
+def power_tails(table: _LevelTable, lattice: _Lattice, ealpha: mpf, j: int,
+                y: mpf, u_next: mpf, k_max: int) -> list:
+    """[R_0, ..., R_k_max]: bounds on the sums of m e^k 2 e^(-x) over the
+    points after y_j, for a cut where x >= ln 2 (N <= 2 e^(-x)).  R_0 and
+    R_1 bound the number and force tails, R_2 to R_4 the moment tails of
+    :func:`.derivatives.moment_sums`.
+
+    y^(2k) e^(-b y^2) rises up to y^2 = k/b and falls beyond, so the sum over
+    points of spacing m from y_(j+1) on is at most m times its largest value
+    there plus its integral from y_(j+1): with z = sqrt(b) y_(j+1) that
+    integral is e^(-alpha) b^(-k-1/2) G_2k(z), G_0 the Gaussian tail and
+    G_2k(z) = z^(2k-1) e^(-z^2)/2 + (2k - 1)/2 G_2k-2(z).
+    """
+    m, b, sqrt_b = lattice.m, table.b, table.sqrt_b
+    z, ez, g = lattice.gauss(j)
+    # k = 0 peaks at the first dropped point
+    tails = [2 * (m * u_next + ealpha / sqrt_b * g)]
+    e_next = (y + m) ** 2
+    e_k, b_k = 1, sqrt_b  # e_next^k and b^(k + 1/2)
+    for k in range(1, k_max + 1):
+        g = z ** (2 * k - 1) * ez / 2 + mpf(2 * k - 1) / 2 * g
+        e_k, b_k = e_k * e_next, b_k * b
+        peak = m * e_k * u_next if b * e_next >= k else m * (k / (b * mp.e)) ** k * ealpha
+        tails.append(2 * (peak + ealpha / b_k * g))
+    return tails
+
+
 def _cut(table: _LevelTable, lattice: _Lattice, alpha: mpf, ealpha: mpf, j: int,
          y: mpf, en: mpf, u: mpf, u_next: mpf, eps: mpf):
     """(number tail, force tail) of the points after y_j once both are below
-    ``eps``, else None: the first dropped term plus the integral beyond it
-    (N <= 2 e^(-x) for x >= ln 2, a decreasing force integrand for
-    b y^2 >= 2).  The alpha-derivatives have twice these tails."""
-    m, b, sqrt_b = lattice.m, table.b, table.sqrt_b
+    ``eps``, else None: R_0 and R_1 of :func:`power_tails`, where b y^2 >= 2
+    and x >= 1.  The alpha-derivatives have twice these tails."""
+    b = table.b
     # a cheap precheck before the closed-form bounds
-    if not (m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2):
+    if not (lattice.m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2):
         return None
-    y_next = y + m
-    z = sqrt_b * y_next
-    g0 = lattice.gauss(j)
-    g2 = z / 2 * mp.exp(-z * z) + g0 / 2
-    tail_n = 2 * (m * u_next + ealpha / sqrt_b * g0)
-    tail_f = 2 * (m * (y_next * y_next) * u_next + ealpha / (b * sqrt_b) * g2)
+    tail_n, tail_f = power_tails(table, lattice, ealpha, j, y, u_next, 1)
     return (tail_n, tail_f) if tail_n < eps and tail_f < eps else None
 
 
@@ -373,17 +397,17 @@ def _origin_terms(table: _LevelTable, ealpha: mpf, m: int) -> tuple:
     return half * occ0, -half * occ0 * (1 + table.eta * occ0)
 
 
-def _number_sums(table: _LevelTable, alpha: mpf, m: int = None):
+def _number_sums(table: _LevelTable, alpha: mpf):
     """(sum_n N_n, its alpha-derivative), within ``table.eps`` and
     2 ``table.eps`` of the full sums: the loop of :func:`_level_sums`
     without the force sums, for the constraint iteration.  At m = 1 it stops
-    on the number tail alone; at m >= 2 where :func:`_level_sums` stops, so
-    that the root is found on the number sums of the final evaluation.
+    on the number tail R_0 of :func:`power_tails` alone; at m >= 2 where
+    :func:`_level_sums` stops, so that the root is found on the number sums
+    of the final evaluation.
     """
-    if m is None:
-        m = table.stride(alpha)
+    m = table.stride(alpha)
     lattice = table.lattice(m)
-    one, fermion, b, sqrt_b = mpf(1), table.eta < 0, table.b, table.sqrt_b
+    one, fermion, b = mpf(1), table.eta < 0, table.b
     # stride m >= 2 leaves half the target to the aliasing
     eps = table.eps if m == 1 else table.eps / 2
     u_cut = eps / 4 / m  # a necessary condition of either cut
@@ -400,7 +424,7 @@ def _number_sums(table: _LevelTable, alpha: mpf, m: int = None):
             y = lattice.y0 + m * j
             if m == 1:
                 if alpha + b * (y * y) >= 1 and \
-                        2 * (u_next + ealpha / sqrt_b * lattice.gauss(j)) < eps:
+                        power_tails(table, lattice, ealpha, j, y, u_next, 0)[0] < eps:
                     return s_n, -s_dn
             elif _cut(table, lattice, alpha, ealpha, j, y, y * y, u, u_next, eps):
                 break
@@ -429,9 +453,11 @@ def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
     s_n = s_dn = s_f = s_df = mpf(0)
     y = lattice.y0
     ealpha = mp.exp(-alpha)
+    points = []
     for j in range(10 ** 7):
         en = y * y
         occ = u / (one + u if fermion else one - u)
+        points.append((en, occ))
         docc = occ * (one - occ if fermion else one + occ)
         s_n += occ
         s_dn += docc
@@ -446,14 +472,14 @@ def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
     else:
         raise PrecisionExhausted("level sum did not truncate below the target")
     tail_n, tail_f = tails
-    if m == 1:
-        return _LevelSums(s_n, -s_dn, s_f, -s_df,
-                          tail_n, 2 * tail_n, tail_f, 2 * tail_f, j + 1, 1)
-    a_n, a_dn, a_f, a_df = table.aliasing(alpha, m)
-    origin_n, origin_dn = _origin_terms(table, ealpha, m)
+    # m = 1 has no aliasing and no origin term
+    a_n = a_dn = a_f = a_df = origin_n = origin_dn = 0
+    if m > 1:
+        a_n, a_dn, a_f, a_df = table.aliasing(alpha, m)
+        origin_n, origin_dn = _origin_terms(table, ealpha, m)
     return _LevelSums(origin_n + m * s_n, origin_dn - m * s_dn, m * s_f, -m * s_df,
                       tail_n + a_n, 2 * tail_n + a_dn, tail_f + a_f, 2 * tail_f + a_df,
-                      j + 1, m)
+                      j + 1, m, points, (j, y, u_next))
 
 
 def _closed_form_ends(stat: Statistics, side: WellSide, N: int,
@@ -547,12 +573,12 @@ def solve_alpha(stat: Statistics, side: WellSide, N: int, t,
 
 
 def _solve_side(stat: Statistics, side: WellSide, N: int, t,
-                policy: PrecisionPolicy, derivatives: int = 0):
+                policy: PrecisionPolicy, derivatives: bool = False):
     # every oracle entry point solves through here
     if not (isinstance(N, int) and N >= 1):
         raise ValueError("N must be a positive integer")
-    if derivatives not in (0, 1, 2):
-        raise ValueError("derivatives must be 0, 1 or 2")
+    if derivatives not in (False, True):
+        raise ValueError("derivatives must be False or True (0 or 1)")
     t = mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
@@ -571,9 +597,9 @@ def _sum_target(policy: PrecisionPolicy, b: mpf) -> mpf:
 
 
 def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
-                   policy: PrecisionPolicy, derivatives: int = 0):
-    """(solution, (force, error, *derivative pairs)): one (value, bound)
-    pair per order of t-derivative asked for, from
+                   policy: PrecisionPolicy, derivatives: bool = False):
+    """(solution, (force, error)), with ``derivatives`` followed by the
+    (value, bound) pairs of df/dt and d^2f/dt^2 from
     :func:`.derivatives.side_derivatives`."""
     with mp.workdps(policy.dps):
         b = 1 / mpf(t)
@@ -605,7 +631,7 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
         if derivatives:
             # imported on first use: the curve and compare paths never load it
             from .derivatives import side_derivatives
-            force += side_derivatives(table, root, sums, alpha_error, derivatives)
+            force += side_derivatives(table, root, sums, alpha_error)
         return sol, force
 
 
@@ -624,18 +650,18 @@ def occupancy(stat: Statistics, side: WellSide, sol: OccupancySolution,
 
 
 def force_side(stat: Statistics, side: WellSide, N: int, t,
-               policy: PrecisionPolicy = DEFAULT_POLICY, derivatives: int = 0):
+               policy: PrecisionPolicy = DEFAULT_POLICY, derivatives: bool = False):
     """Reduced force of one half well: (value, certified error bound), then
-    with ``derivatives`` = 1 or 2 one (value, bound) pair per order of
-    t-derivative: df/dt, then d^2f/dt^2."""
+    with ``derivatives`` set the (value, bound) pairs of df/dt and
+    d^2f/dt^2."""
     return _solve_side(stat, side, N, t, policy, derivatives)[1]
 
 
-def net_force(stat: Statistics, N: int, t,
-              policy: PrecisionPolicy = DEFAULT_POLICY, derivatives: int = 0) -> CurvePoint:
+def net_force(stat: Statistics, N: int, t, policy: PrecisionPolicy = DEFAULT_POLICY,
+              derivatives: bool = False) -> CurvePoint:
     """Net reduced force on the partition at one temperature; with
-    ``derivatives`` = 1 or 2 also d delta_f/dt, then d^2 delta_f/dt^2, each
-    with its certified bound."""
+    ``derivatives`` set also d delta_f/dt and d^2 delta_f/dt^2, each with
+    its certified bound."""
     sol_m, (f_m, err_m, *d_m) = _solve_side(stat, W_MINUS, N, t, policy, derivatives)
     sol_p, (f_p, err_p, *d_p) = _solve_side(stat, W_PLUS, N, t, policy, derivatives)
     t = mpf(t)
@@ -698,11 +724,13 @@ def sweep_curve(stat: Statistics, N: int, grid: Sequence,
 
 # the searches refine in x = log t to this width: a relative precision in t
 _SEARCH_LOG_T_TOL = 1e-8
+# the uniform grid on which locate_inflections certifies curvature signs
+_INFLECTION_GRID = 16
 
 
 def _scaled_derivative(point: CurvePoint, order: int) -> tuple:
     """(t^k d^k delta_f/dt^k, its bound) at k = ``order`` of a point that
-    :func:`net_force` evaluated with ``derivatives=2``."""
+    :func:`net_force` evaluated with ``derivatives=True``."""
     if order == 1:
         return point.t * point.d_delta_f_dt, point.t * point.d_delta_f_dt_error
     t2 = point.t * point.t
@@ -730,7 +758,7 @@ def _refine_sign_change(stat: Statistics, N: int, policy: PrecisionPolicy,
 
     def g(x):
         # positional (stat, N, t): wrappers of net_force read them as args[0..2]
-        point = net_force(stat, N, mp.exp(x), policy, derivatives=2)
+        point = net_force(stat, N, mp.exp(x), policy, derivatives=True)
         seen.append(point)
         value = _scaled_derivative(point, order)[0] / scale
         if order == 2:
@@ -777,7 +805,7 @@ def locate_minimum(stat: Statistics, N: int,
         a, c = mp.log(t_lo), mp.log(t_hi)
         n_probe = 5
         probes = [net_force(stat, N, mp.exp(a + (c - a) * i / (n_probe - 1)), policy,
-                            derivatives=2) for i in range(n_probe)]
+                            derivatives=True) for i in range(n_probe)]
         signs = [_certified_sign(p, 1) for p in probes]
         rises = [i for i in range(n_probe - 1) if signs[i] != signs[i + 1]]
         if not (len(rises) == 1 and signs[0] == -1 and signs[-1] == 1):
@@ -792,16 +820,16 @@ def locate_minimum(stat: Statistics, N: int,
 
 def locate_inflections(stat: Statistics, N: int,
                        policy: PrecisionPolicy = DEFAULT_POLICY,
-                       window=None, grid_points: int = 16) -> Inflections:
+                       window=None) -> Inflections:
     """Find the two inflection temperatures of the low-temperature step.
 
-    Fermions only: the step is absent for bosons.  On a uniform grid over
-    the window (default [0.05 N, N]) every sign of d^2 delta_f/dt^2 must be
-    certified, and the first turn from - to + and the next one back frame
-    the convex stretch of the step; without them :class:`StepNotFound` is
-    raised.  Each sign change is refined to a relative precision of 1e-8
-    in t by the derivative-free root finder on t^2 d^2 delta_f/dt^2 in
-    log t.
+    Fermions only: the step is absent for bosons.  On a uniform grid of 16
+    points over the window (default [0.05 N, N]) every sign of
+    d^2 delta_f/dt^2 must be certified, and the first turn from - to + and
+    the next one back frame the convex stretch of the step; without them
+    :class:`StepNotFound` is raised.  Each sign change is refined to a
+    relative precision of 1e-8 in t by the derivative-free root finder on
+    t^2 d^2 delta_f/dt^2 in log t.
 
     Returns :class:`Inflections`: each temperature with a half-width that
     covers a bracket whose ends carry certified opposite signs of the
@@ -813,16 +841,16 @@ def locate_inflections(stat: Statistics, N: int,
         window = (mpf("0.05") * N, mpf(N))
     t_lo, t_hi = mpf(window[0]), mpf(window[1])
     with mp.workdps(policy.dps):
-        h = (t_hi - t_lo) / (grid_points - 1)
-        grid = [net_force(stat, N, t_lo + i * h, policy, derivatives=2)
-                for i in range(grid_points)]
+        h = (t_hi - t_lo) / (_INFLECTION_GRID - 1)
+        grid = [net_force(stat, N, t_lo + i * h, policy, derivatives=True)
+                for i in range(_INFLECTION_GRID)]
         signs = [_certified_sign(p, 2) for p in grid]
         if 0 in signs:
             raise StepNotFound("curvature sign not resolved at t = "
                                + mp.nstr(grid[signs.index(0)].t, 8))
         # the step's convex stretch: the first turn from - to + and the next
         # turn (the curve may turn convex again towards its minimum)
-        changes = [i for i in range(grid_points - 1) if signs[i] != signs[i + 1]]
+        changes = [i for i in range(_INFLECTION_GRID - 1) if signs[i] != signs[i + 1]]
         rises = [k for k, i in enumerate(changes) if signs[i] < 0]
         if not rises or rises[0] + 1 == len(changes):
             raise StepNotFound("fewer than two curvature sign changes detected")

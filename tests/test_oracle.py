@@ -367,7 +367,7 @@ class TestSearchCounters:
         assert 0 < err <= mpf("2e-8") * t_min
         # the ends of t_min -+ err carry certified opposite slopes
         with mp.workdps(DEFAULT_POLICY.dps):
-            ends = [net_force(stat, N, t_min + s * err, derivatives=1) for s in (-1, 1)]
+            ends = [net_force(stat, N, t_min + s * err, derivatives=True) for s in (-1, 1)]
         assert [oracle._certified_sign(p, 1) for p in ends] == [-1, 1]
 
     def test_inflections(self, monkeypatch):
@@ -381,7 +381,7 @@ class TestSearchCounters:
             for t, err, signs in ((found.t_begin, found.t_begin_error, [-1, 1]),
                                   (found.t_end, found.t_end_error, [1, -1])):
                 assert 0 < err <= mpf("2e-8") * t
-                ends = [net_force(FERMION, 3, t + s * err, derivatives=2) for s in (-1, 1)]
+                ends = [net_force(FERMION, 3, t + s * err, derivatives=True) for s in (-1, 1)]
                 assert [oracle._certified_sign(p, 2) for p in ends] == signs
 
     @pytest.mark.parametrize("seed", range(8))
@@ -505,6 +505,33 @@ class TestRootCounters:
                     derivative=True)
                 assert abs(res.residual) <= policy.target_abs_error
                 assert res.evaluations <= 16
+
+
+class TestLatticeWalks:
+    """Points walked per net force, counted in ``_Lattice.ratio`` calls: the
+    derivatives are summed over the points the final level-sum pass
+    recorded, so asking for them walks no point more."""
+
+    @pytest.mark.parametrize("stat,N,t", [
+        (BOSON, 6, "3"), (FERMION, 3, "1.1"), (FERMION, 100, "4440"),
+        # strided, m >= 2
+        (BOSON, 30, "1e4"),
+    ])
+    def test_derivatives_walk_no_extra_point(self, monkeypatch, stat, N, t):
+        walked = []
+        ratio = oracle._Lattice.ratio
+
+        def counting_ratio(lattice, j):
+            walked.append(j)
+            return ratio(lattice, j)
+
+        monkeypatch.setattr(oracle._Lattice, "ratio", counting_ratio)
+        counts = []
+        for flag in (False, True):
+            walked.clear()
+            net_force(stat, N, mpf(t), derivatives=flag)
+            counts.append(len(walked))
+        assert counts[0] > 0 and counts[1] == counts[0]
 
 
 class TestClosedFormEnds:
@@ -768,7 +795,7 @@ class TestTemperatureDerivatives:
         (BOSON, 8, "0.01"), (FERMION, 4, "4.85"),
     ])
     def test_match_60_digit_centred_differences(self, stat, N, t):
-        point = net_force(stat, N, mpf(t), derivatives=2)
+        point = net_force(stat, N, mpf(t), derivatives=True)
         with mp.workdps(70):
             t = mpf(t)
             h = t * mpf("1e-12")
@@ -784,13 +811,13 @@ class TestTemperatureDerivatives:
 
     def test_default_path_unchanged(self):
         plain = net_force(FERMION, 3, mpf("1.1"))
-        both = net_force(FERMION, 3, mpf("1.1"), derivatives=2)
+        both = net_force(FERMION, 3, mpf("1.1"), derivatives=True)
         assert plain.d_delta_f_dt is None and plain.d2_delta_f_dt2_error is None
         assert (both.delta_f, both.delta_f_error) == (plain.delta_f, plain.delta_f_error)
-        assert force_side(FERMION, W_PLUS, 3, mpf("1.1"), derivatives=1)[:2] == \
+        assert force_side(FERMION, W_PLUS, 3, mpf("1.1"), derivatives=True)[:2] == \
             force_side(FERMION, W_PLUS, 3, mpf("1.1"))
         with pytest.raises(ValueError):
-            net_force(FERMION, 3, 1, derivatives=3)
+            net_force(FERMION, 3, 1, derivatives=2)
 
     @pytest.mark.parametrize("stat,side,N,t,target,dps", [
         (FERMION, W_MINUS, 3, "1.1", 1e-12, 70),
@@ -808,7 +835,7 @@ class TestTemperatureDerivatives:
     ])
     def test_bounds_contain_70_digit_derivatives(self, stat, side, N, t, target, dps):
         policy = PrecisionPolicy(target_abs_error=target)
-        _, _, (d1, e1), (d2, e2) = force_side(stat, side, N, mpf(t), policy, derivatives=2)
+        _, _, (d1, e1), (d2, e2) = force_side(stat, side, N, mpf(t), policy, derivatives=True)
         tau = as_mpf(side.tau)
         with mp.workdps(dps):
             b = 1 / mpf(t)
@@ -862,7 +889,7 @@ class TestTemperatureDerivatives:
                         assert abs(value - exact[name]) <= \
                             tail + slack * max(1, abs(exact[name])), \
                             f"instance {i} (stride {m}): {name} beyond its tail bound"
-                    derivs = derivatives.side_derivatives(table, alpha, sums, mpf(0), 2)
+                    derivs = derivatives.side_derivatives(table, alpha, sums, mpf(0))
                     for order, (value, bound), brute in zip(
                             (1, 2), derivs, _brute_derivatives(exact, b)):
                         assert abs(value - brute) <= bound + slack * max(1, abs(brute)), \
