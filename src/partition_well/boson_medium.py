@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 
 from .model import W_MINUS, W_PLUS, WellSide, as_mpf
 from .numerics import DEFAULT_POLICY, PrecisionPolicy, \
-    find_root_bracketed, \
+    find_root_bracketed, pad_outward, \
     quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
@@ -127,8 +127,7 @@ def _solve_ends(side: WellSide, target: mpf) -> tuple:
     e1 = as_mpf(side.e1)
     lo = 1 / target - e1
     hi = max(2 / target, (mp.pi / target) ** 2)
-    pad = mpf(10) ** (4 - mp.dps)
-    lo, hi = lo - pad * max(1, abs(lo)), hi + pad * max(1, abs(hi))
+    lo, hi = pad_outward(lo, hi)
     if not lo > -e1:
         raise OutOfRange("target beyond the pole-side range")
     return lo, hi

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .numerics import DEFAULT_POLICY, PrecisionExhausted, PrecisionPolicy, \
-    find_root_bracketed, gaussian_tail_upper_bound, \
+    find_root_bracketed, gaussian_tail_upper_bound, pad_outward, \
     quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
@@ -265,8 +265,7 @@ def fermi_integral_ends(target: mpf) -> tuple:
     lo = -y0 ** 2
     if target < half_root_pi:
         lo = max(lo, mp.log(half_root_pi / target - 1))
-    pad = mpf(10) ** (4 - mp.dps)
-    return lo - pad * max(1, abs(lo)), hi + pad * max(1, abs(hi))
+    return pad_outward(lo, hi)
 
 
 def alpha_from_temperature(N: int, t, variant: str = "quadrature",

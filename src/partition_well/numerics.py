@@ -10,6 +10,7 @@ here supply the rest:
   and a secant slope otherwise.
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used wherever a dropped sum or integral tail is bounded.
+* :func:`pad_outward` - the one padding rule of closed-form bracket ends.
 * :func:`quad_semi_infinite` - adaptive quadrature over breakpoints that
   end at ``inf`` or at a cut whose tail the caller has bounded.  No code in
   the package calls it; it is kept because perfbench's tracer wraps the
@@ -36,6 +37,7 @@ __all__ = [
     "PrecisionExhausted",
     "find_root_bracketed",
     "gaussian_tail_upper_bound",
+    "pad_outward",
     "quad_semi_infinite",
     "SOLVER_FAILURES",
 ]
@@ -222,6 +224,14 @@ def gaussian_tail_upper_bound(y_trunc) -> mpf:
     if not y > 0:
         raise ValueError("y_trunc must be positive")
     return mp.exp(-y * y) * min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
+
+
+def pad_outward(lo: mpf, hi: mpf) -> tuple:
+    """(lo, hi) moved outward by 10^(4 - dps) max(1, |x|) each, a few units
+    of the working precision: a closed-form end whose bound is tight then
+    stays on its side of the root after rounding."""
+    pad = mpf(10) ** (4 - mp.dps)
+    return lo - pad * max(1, abs(lo)), hi + pad * max(1, abs(hi))
 
 
 def quad_semi_infinite(integrand: Callable, points,

@@ -4,7 +4,7 @@ from mpmath import mp, mpf
 from partition_well.hightemp import fugacity_expansion, net_force_asymptote
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
 from partition_well.numerics import DEFAULT_POLICY
-from partition_well.oracle import _theta0, net_force, solve_alpha
+from partition_well.oracle import _Lattice, _theta0, net_force, solve_alpha
 
 EPS = mpf("1e-30")
 
@@ -20,7 +20,8 @@ class TestThetaLevelSum:
         with mp.workdps(DEFAULT_POLICY.dps):
             b = mpf("0.37")
             lead = mp.sqrt(mp.pi / (4 * b))
-            theta, err = _theta0(b, as_mpf(W_PLUS.tau), W_PLUS.sigma, EPS)
+            theta, err = _theta0(
+                _Lattice(b, mp.sqrt(b), 1 - as_mpf(W_PLUS.tau), 1), W_PLUS.sigma, EPS)
             first_image = -2 * lead * mp.exp(-mp.pi ** 2 / b)
             assert abs(theta - lead - first_image) <= err + abs(first_image) * mpf("1e-6")
 
@@ -30,13 +31,14 @@ class TestThetaLevelSum:
             for side in (W_MINUS, W_PLUS):
                 tau = as_mpf(side.tau)
                 brute = mp.fsum(mp.exp(-b * (n - tau) ** 2) for n in range(1, 40))
-                theta, err = _theta0(b, tau, side.sigma, EPS)
+                theta, err = _theta0(_Lattice(b, mp.sqrt(b), 1 - tau, 1), side.sigma, EPS)
                 assert abs(theta - brute) <= err + mpf("1e-38")
 
     def test_images_negligible_at_small_b(self):
         with mp.workdps(DEFAULT_POLICY.dps):
             b = mpf("0.01")
-            theta, _ = _theta0(b, as_mpf(W_MINUS.tau), W_MINUS.sigma, EPS)
+            theta, _ = _theta0(
+                _Lattice(b, mp.sqrt(b), 1 - as_mpf(W_MINUS.tau), 1), W_MINUS.sigma, EPS)
             without = mp.sqrt(mp.pi / (4 * b)) - mpf(1) / 2
             assert abs(theta - without) / theta < mpf("1e-35")
 

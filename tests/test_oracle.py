@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from partition_well import derivatives, oracle
+from partition_well import oracle
 from partition_well.equilibrium import shift_finite_temperature
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
 from partition_well.numerics import (
@@ -465,9 +465,9 @@ class TestRootCounters:
         solves, calls = [], []
         theta0, solve_at = oracle._theta0, oracle._solve_side_at
 
-        def counting_theta0(beta, *args):
-            calls.append(beta)
-            return theta0(beta, *args)
+        def counting_theta0(lattice, *args):
+            calls.append(lattice)
+            return theta0(lattice, *args)
 
         def counting_solve_at(*args):
             calls.clear()
@@ -480,7 +480,7 @@ class TestRootCounters:
         _, _, strides = self._count(monkeypatch)
         net_force(BOSON, 100, mpf("1e7"))
         assert len(solves) == 2
-        assert [len(betas) for betas in solves] == [1, 1]
+        assert [len(lattices) for lattices in solves] == [1, 1]
         assert min(strides) > 100
 
     def test_boltzmann_upper_end_of_a_sharp_step(self):
@@ -508,9 +508,11 @@ class TestRootCounters:
 
 
 class TestLatticeWalks:
-    """Points walked per net force, counted in ``_Lattice.ratio`` calls: the
-    derivatives are summed over the points the final level-sum pass
-    recorded, so asking for them walks no point more."""
+    """Points walked per net force, counted in ``_Lattice.ratio`` calls, and
+    strips evaluated, counted in ``_strip`` calls: the derivatives are
+    summed over the points the final level-sum pass recorded, with the
+    strip that pass used, so asking for them walks no point more and
+    evaluates no strip more."""
 
     @pytest.mark.parametrize("stat,N,t", [
         (BOSON, 6, "3"), (FERMION, 3, "1.1"), (FERMION, 100, "4440"),
@@ -531,6 +533,27 @@ class TestLatticeWalks:
             walked.clear()
             net_force(stat, N, mpf(t), derivatives=flag)
             counts.append(len(walked))
+        assert counts[0] > 0 and counts[1] == counts[0]
+
+    @pytest.mark.parametrize("stat,N,t", [
+        (BOSON, 30, "1e4"), (FERMION, 12, "3e4"), (BOSON, 8, "3e4"),
+    ])
+    def test_derivatives_evaluate_no_extra_strip(self, monkeypatch, stat, N, t):
+        # strided cells: the level table evaluates the strip once for the
+        # final alpha, and the moment bounds read it from the table
+        strips = []
+        strip = oracle._strip
+
+        def counting_strip(alpha, b):
+            strips.append(alpha)
+            return strip(alpha, b)
+
+        monkeypatch.setattr(oracle, "_strip", counting_strip)
+        counts = []
+        for flag in (False, True):
+            strips.clear()
+            net_force(stat, N, mpf(t), derivatives=flag)
+            counts.append(len(strips))
         assert counts[0] > 0 and counts[1] == counts[0]
 
 
@@ -881,7 +904,7 @@ class TestTemperatureDerivatives:
                 strides = [chosen] if chosen == 1 else [chosen, 3 * chosen]
                 for m in strides:
                     sums = oracle._level_sums(table, alpha, m)
-                    mom = derivatives.moment_sums(table, alpha, sums)
+                    mom = oracle.moment_sums(table, alpha, sums)
                     exact = _direct_moments(stat.eta, tau, alpha, b, mom.c)
                     for name, value, tail in (("C2", mom.c2, mom.tail_c2),
                                               ("C4", mom.c4, mom.tail_c4),
@@ -889,7 +912,7 @@ class TestTemperatureDerivatives:
                         assert abs(value - exact[name]) <= \
                             tail + slack * max(1, abs(exact[name])), \
                             f"instance {i} (stride {m}): {name} beyond its tail bound"
-                    derivs = derivatives.side_derivatives(table, alpha, sums, mpf(0))
+                    derivs = oracle.side_derivatives(table, alpha, sums, mpf(0))
                     for order, (value, bound), brute in zip(
                             (1, 2), derivs, _brute_derivatives(exact, b)):
                         assert abs(value - brute) <= bound + slack * max(1, abs(brute)), \
