@@ -15,9 +15,10 @@ asymptotic series for I paired with its further-truncated derivative, and a
 tanh-shaped surrogate of the integrand that admits closed forms.
 
 The quadrature route takes I and I' = -integral s (1 - s) dy from one
-trapezoid sum over y = j h of s(y) = 1/(exp(alpha + y^2) + 1): a Poisson
-bound on the strip where s is analytic sets h, a Gaussian envelope proves
-the cut, and points deep in the Fermi sea, where s = 1 within the target,
+trapezoid sum over y = j h of s(y) = 1/(exp(alpha + y^2) + 1), walked by
+the fixed-point kernel of :mod:`.numerics`: a Poisson bound on the strip
+where s is analytic sets h, a Gaussian envelope proves the cut, and points
+deep in the Fermi sea, where s = 1 within one unit of the kernel's scale,
 are counted instead of summed.
 alpha(N, t) inverts I(alpha) = N/sqrt(t) by safeguarded Newton steps on
 (I - N/sqrt(t), I'), one pair per step, between ends taken in closed form
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .numerics import DEFAULT_POLICY, PrecisionExhausted, PrecisionPolicy, \
-    find_root_bracketed, gaussian_tail_upper_bound, pad_outward, \
+from .numerics import DEFAULT_POLICY, FixedPointLattice, PrecisionExhausted, \
+    PrecisionPolicy, find_root_bracketed, fixed_point_walk, gaussian_tail_upper_bound, \
+    pad_outward, \
     quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
 __all__ = [
@@ -102,15 +104,11 @@ def _fermi_strip(alpha) -> tuple:
     return k / (2 * X), mpf("9.06") * X + 1 / X, mpf("50.11") * X + 2 / X
 
 
-def _fermi_lattice(alpha: mpf, target: mpf) -> tuple:
+def _fermi_lattice(alpha: mpf, target: mpf) -> mpf:
     """Step h with half-line aliasing M'/(e^(2 pi a/h) - 1) = target/4 (Trefethen
-    & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), and the j0 <= sqrt(-alpha)/h
-    + 1 points with alpha + y^2 <= -L, whose holes 1 - s <= e^(-L) sum to
-    at most target/8."""
+    & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1)."""
     a, _, m_prime = _fermi_strip(alpha)
-    h = 2 * mp.pi * a / mp.log1p(4 * m_prime / target)
-    L = mp.log(8 * (mp.sqrt(max(-alpha, 0)) + h) / target)
-    return h, int(mp.sqrt(-alpha - L) / h) + 1 if alpha < -L else 0
+    return 2 * mp.pi * a / mp.log1p(4 * m_prime / target)
 
 
 def _pair_target(alpha: mpf, policy: PrecisionPolicy) -> mpf:
@@ -124,24 +122,24 @@ def _pair_target(alpha: mpf, policy: PrecisionPolicy) -> mpf:
 
 def _trapezoid_pair(alpha: mpf, policy: PrecisionPolicy):
     """(I, I') = h (s(0)/2 + sum_(j>=1) s(j h)) and the same of -s (1 - s), to
-    :func:`_pair_target`: the aliasing and plateau of :func:`_fermi_lattice`
-    (s = 1 there) and the cut, after which s (1 - s) <= s < e^(-alpha - y^2)
-    sum to <= e^(-alpha) times the Gaussian tail from y, take 5/8 of it.
-    u = e^(-alpha - y^2) steps as in the oracle."""
+    :func:`_pair_target`: the aliasing of :func:`_fermi_lattice`, the cut,
+    after which s (1 - s) <= s < e^(-alpha - y^2) sum to <= e^(-alpha) times
+    the Gaussian tail from y, and the rounding of the walk of
+    :func:`~.numerics.fixed_point_walk` (which counts the deep Fermi sea as
+    a plateau) take 5/8 of it."""
     target, ealpha = _pair_target(alpha, policy), mp.exp(-alpha)
-    h, j0 = _fermi_lattice(alpha, target)
-    u = mp.exp(-alpha - (j0 * h) ** 2)
-    r, shrink = mp.exp(-(2 * j0 + 1) * h * h), mp.exp(-2 * h * h)
-    occ = u / (1 + u)
-    s_n, s_d = (j0 - mpf(1) / 2, 0) if j0 else (-occ / 2, -occ * (1 - occ) / 2)
-    for j in range(j0, j0 + 10 ** 7):
-        occ = u / (1 + u)
-        s_n += occ
-        s_d += occ * (1 - occ)
-        if j and u < target and ealpha * gaussian_tail_upper_bound(j * h) <= target / 4:
-            return h * s_n, -h * s_d
-        u, r = u * r, r * shrink
-    raise PrecisionExhausted("Fermi sum did not truncate below the target")
+    h = _fermi_lattice(alpha, target)
+
+    def cut(j, u, u_next):
+        return ealpha * gaussian_tail_upper_bound((j + 1) * h) <= target / 4
+
+    walk = fixed_point_walk(FixedPointLattice(mpf(1), h, h), -1, alpha, target / h,
+                            target, cut)
+    if not h * max(walk.scaled(walk.bounds[:2])) <= target / 8:
+        raise PrecisionExhausted("Fermi sum rounding above its share of the target")
+    occ = ealpha / (1 + ealpha)  # s(0)
+    s_n, s_d = walk.scaled(walk.totals[:2])
+    return h * (occ / 2 + s_n), -h * (occ * (1 - occ) / 2 + s_d)
 
 
 def _surrogate_pieces(alpha: mpf):

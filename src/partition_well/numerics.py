@@ -11,6 +11,10 @@ here supply the rest:
 * :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
   tail integral, used wherever a dropped sum or integral tail is bounded.
 * :func:`pad_outward` - the one padding rule of closed-form bracket ends.
+* :func:`fixed_point_walk` - the one loop of every level sum: occupancies
+  1/(e^x - eta) at the points of a :class:`FixedPointLattice`, in integers
+  on one binary scale per walk, with the rounding of every floor and shift
+  counted in closed form.
 * :func:`quad_semi_infinite` - adaptive quadrature over breakpoints that
   end at ``inf`` or at a cut whose tail the caller has bounded.  No code in
   the package calls it; it is kept because perfbench's tracer wraps the
@@ -22,10 +26,12 @@ supplied :class:`PrecisionPolicy`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_shift
 
 __all__ = [
     "PrecisionPolicy",
@@ -38,6 +44,9 @@ __all__ = [
     "find_root_bracketed",
     "gaussian_tail_upper_bound",
     "pad_outward",
+    "FixedPointLattice",
+    "FixedPointSums",
+    "fixed_point_walk",
     "quad_semi_infinite",
     "SOLVER_FAILURES",
 ]
@@ -232,6 +241,243 @@ def pad_outward(lo: mpf, hi: mpf) -> tuple:
     stays on its side of the root after rounding."""
     pad = mpf(10) ** (4 - mp.dps)
     return lo - pad * max(1, abs(lo)), hi + pad * max(1, abs(hi))
+
+
+# A walk's scale lies _SCALE_GUARD bits below its targets and its ratio table
+# _RATIO_GUARD bits below the scale; the table is built _RATIO_CHUNK ratios
+# at a time.  No walk runs on a scale finer than _MAX_SCALE_BITS.
+_SCALE_GUARD = 64
+_RATIO_GUARD = 32
+_RATIO_CHUNK = 64
+_MAX_SCALE_BITS = 1 << 22
+_MAX_POINTS = 10 ** 7
+_LOG2E = 1 / math.log(2)
+
+
+def _exact(man: int, exp: int) -> mpf:
+    """man 2^exp as an mpf, unrounded."""
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _log2(x) -> int:
+    """log2 |x| within one, from the binary exponent; 0 at x = 0."""
+    _, _, exp, bc = x
+    return exp + bc
+
+
+def _fixed_exp(x: tuple, bits: int) -> int:
+    """floor(e^(-x) 2^bits) for an exact raw mpf x >= -1, within 1 + 2^-20
+    of e^(-x) 2^bits: e^(-x) is evaluated to the relative precision that
+    one unit of 2^-bits asks for."""
+    x = mp.make_mpf(x)
+    if x > bits:
+        return 0
+    with mp.workprec(max(bits - int(float(x) * _LOG2E), 0) + 24):
+        return int(mp.ldexp(mp.exp(-x), bits))
+
+
+class FixedPointLattice:
+    """The points y_j = y0 + m j (j >= 0) under the Gaussian weight
+    e^(-b y^2), and the ratios e^(-b m (2 y_j + m)) of successive weights as
+    integers in units of 2^-``shift``.
+
+    The ratios are formed on first use, ``_RATIO_CHUNK`` at a time: the
+    first of a chunk from one exponential, each next one the last times
+    e^(-2 b m^2), so each is within 3 ``_RATIO_CHUNK`` units.  Walks on a
+    scale ``_RATIO_GUARD`` bits coarser or more read them; a finer walk
+    forms them anew.
+    """
+
+    def __init__(self, b: mpf, y0: mpf, m):
+        self.b, self.y0, self.m = b, y0, m
+        self._raw = b._mpf_, mpf(y0)._mpf_, mpf(m)._mpf_
+        self.shift, self._chunks = 0, {}
+
+    def x(self, alpha: mpf, j: int) -> tuple:
+        """alpha + b y_j^2, unrounded, as a raw mpf."""
+        b, y0, m = self._raw
+        y = mpf_add(y0, mpf_mul(m, from_int(j)))
+        return mpf_add(alpha._mpf_, mpf_mul(b, mpf_mul(y, y)))
+
+    def rescale(self, bits: int) -> int:
+        """The table's scale, made at least bits + _RATIO_GUARD."""
+        if self.shift < bits + _RATIO_GUARD:
+            b, _, m = self._raw
+            self.shift = -(-(bits + _RATIO_GUARD) // 64) * 64
+            self._chunks = {}
+            self._shrink = _fixed_exp(mpf_shift(mpf_mul(b, mpf_mul(m, m)), 1), self.shift)
+        return self.shift
+
+    def _chunk(self, k: int) -> list:
+        chunk = self._chunks.get(k)
+        if chunk is None:
+            b, y0, m = self._raw
+            j = k * _RATIO_CHUNK
+            # x_(j+1) - x_j = b m (2 y0 + (2 j + 1) m)
+            step = mpf_mul(mpf_mul(b, m),
+                           mpf_add(mpf_shift(y0, 1), mpf_mul(m, from_int(2 * j + 1))))
+            shrink, shift = self._shrink, self.shift
+            r = _fixed_exp(step, shift)
+            chunk = self._chunks[k] = [r]
+            for _ in range(_RATIO_CHUNK - 1):
+                r = r * shrink >> shift
+                chunk.append(r)
+        return chunk
+
+    def up(self, j: int):
+        """The ratios j, j + 1, ... at the table's scale."""
+        k, i = divmod(j, _RATIO_CHUNK)
+        while True:
+            yield from self._chunk(k)[i:]
+            k, i = k + 1, 0
+
+    def down(self, j: int):
+        """The ratios j, j - 1, ..., 0, then 0."""
+        for k in range(j // _RATIO_CHUNK, -1, -1):
+            yield from reversed(self._chunk(k)[:j - k * _RATIO_CHUNK + 1])
+            j = k * _RATIO_CHUNK - 1
+        yield 0
+
+
+class FixedPointSums(NamedTuple):
+    """What one :func:`fixed_point_walk` summed, ``weight`` times each sum."""
+
+    totals: tuple    # sum N, sum D, sum 4e N, sum 4e D
+    bounds: tuple    # a bound on the rounding of each
+    per_point: tuple  # bounds on the rounding of D and of D (1 + 2 eta N) at each point
+    points: list     # (4 e, N, D) of each walked point
+    bits: int
+    terms: int       # the points up to the cut, a plateau included
+    cut: object      # what ``cut`` returned
+
+    def scaled(self, values) -> tuple:
+        """Integers of this walk as unrounded mpf: units of 2^-bits, and of
+        2^-(bits + 2) from the third on (the e-weighted sums)."""
+        return tuple(_exact(v, -self.bits - 2 * (i > 1)) for i, v in enumerate(values))
+
+
+def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
+                     u_cut: mpf, cut: Callable, weight: int = 1,
+                     weighted: bool = False) -> FixedPointSums:
+    """Sums of N = 1/(e^x - eta) and D = -dN/dx = N (1 + eta N) at the
+    points of ``lattice``, x_j = alpha + b y_j^2, and of e N and e D (e =
+    y^2, 4e an integer) if ``weighted``, each times ``weight``, in integers
+    on one scale 2^-P.
+
+    From the first point with x >= 0, u = e^(-x) steps outward by the
+    lattice's ratios, N = u/(1 - eta u).  Below it, in a Fermi sea, the
+    holes v = e^x step inward the same way, N = 1/(1 + v); once v is below
+    one unit, the rest of the sea counts as filled, a plateau.  The walk
+    stops at the first j with u_j (4 e_j + 4) < 4 ``u_cut`` (e = 0 unless
+    ``weighted``) where ``cut(j, u_j, u_(j+1))``, given upper bounds, is
+    true.
+
+    P, chosen from binary exponents, lies ``_SCALE_GUARD`` bits below the
+    larger of 2^-growth ``eps`` (eps the target of the unweighted sums) and
+    the working precision at the depth e^(-min |x_j|) of a Fermi edge, so a
+    step is resolved however sharp.  Where that depth is 3/5 of P or more,
+    the next u and v lie below one unit: each side walks one point.
+
+    Rounding, in units of 2^-P: the first u and v are within 1 + 2^-20, and
+    each step adds 1 for its floor and u 3 C 2^(P - shift) < 1 for its
+    ratio, so the k-th point from the edge is within 2 (k + 1) <= 2 n of
+    its value, n the levels up to the cut, plateau included.  N is then
+    within eo = 2 kappa n + 1, D within ed = lambda eo + 1 and D (1 + 2 eta
+    N) within 2 lambda ed; kappa = lambda = 1 for eta <= 0, and for bosons
+    kappa = 2 g^2 and lambda = 2 g with g >= 1 + N_0 bound the slopes (1 +
+    N)^2 of N(u) and 1 + 2 N of D(N).  The bounds are n eo, n ed, and each
+    times the largest e.
+    """
+    b, y0, m = lattice.b, lattice.y0, lattice.m
+    edge, x_edge = 0, lattice.x(alpha, 0)
+    if eta < 0 and x_edge[0]:  # a Fermi sea: x_0 < 0
+        y_edge = float(mp.sqrt(-alpha / b))
+        if not y_edge < _MAX_POINTS * float(m):
+            raise PrecisionExhausted("Fermi sea too deep for a level walk")
+        edge = max(1, math.ceil((y_edge - float(y0)) / float(m)))
+        x_edge = lattice.x(alpha, edge)
+        while x_edge[0]:
+            edge += 1
+            x_edge = lattice.x(alpha, edge)
+        x_sea = lattice.x(alpha, edge - 1)
+        while edge > 1 and not x_sea[0]:
+            edge, x_edge = edge - 1, x_sea
+            x_sea = lattice.x(alpha, edge - 1)
+    # the depth of the Fermi edge, min_j |x_j|
+    depth = min(mp.make_mpf(x_edge), -mp.make_mpf(x_sea)) if edge else 0
+    # the scale: room for n^2 kappa lambda e below the target, n and e
+    # estimated up to x = ln(1/eps); or the working precision below e^(-depth)
+    bits_eps = 1 - _log2(eps._mpf_)
+    log_e = max(_log2(alpha._mpf_), bits_eps.bit_length()) + 1 - _log2(b._mpf_)
+    log_n = max(log_e / 2 - _log2(lattice._raw[2]) + 1, 1) + 1
+    log_g = max(0, 1 - _log2(x_edge)) + 1 if eta > 0 else 0
+    growth = 2 + 2 * log_n + 3 * log_g + max(log_e, 0)
+    depth_bits = int(min(float(depth), _MAX_SCALE_BITS) * _LOG2E)
+    bits = max(bits_eps + math.ceil(growth), mp.prec + depth_bits) + _SCALE_GUARD
+    if bits > _MAX_SCALE_BITS:
+        raise PrecisionExhausted("level walk needs a scale finer than 2^-%d" % _MAX_SCALE_BITS)
+    deep = 5 * depth_bits >= 3 * bits
+    one, eta = 1 << bits, int(eta)
+    shift = bits if deep else lattice.rescale(bits)
+    c0, dc = (int(2 * y0), int(2 * m)) if weighted else (0, 0)
+    s_n = s_d = s_f = s_df = 0
+    points = []
+    append = points.append
+    if edge:
+        # the sea: holes h = v/(1 + v), N = 1 - h, stepped inward
+        v, holes, holes_f = _fixed_exp(mpf_neg(x_sea), bits), 0, 0
+        ratios = iter((0,)) if deep else lattice.down(edge - 2)
+        for j, r in zip(range(edge - 1, -1, -1), ratios):
+            h = (v << bits) // (one + v)
+            d = h * (one - h) >> bits
+            e = c0 + dc * j
+            e *= e
+            holes += h
+            s_d += d
+            holes_f += e * h
+            s_df += e * d
+            append((e, one - h, d))
+            v = v * r >> shift
+            if not v:
+                break
+        # levels 0 .. edge - 1 filled, sum of (c0 + dc i)^2 in closed form
+        s_n = edge * one - holes
+        s_f = one * (edge * c0 * c0 + c0 * dc * edge * (edge - 1)
+                     + dc * dc * (edge - 1) * edge * (2 * edge - 1) // 6) - holes_f
+    u = _fixed_exp(x_edge, bits)
+    kappa = lam = 1
+    if eta > 0:
+        g = 2 + ((u << bits) // (one - u) >> bits)
+        kappa, lam = 2 * g * g, 2 * g
+    u_cut = int(mp.ldexp(u_cut, bits + 2))
+    u_near = u_cut >> 2  # u (e + 4) < u_cut needs u < u_cut/4
+    ratios = iter(int, 1) if deep else lattice.up(edge)
+    for j, r in zip(range(edge, _MAX_POINTS), ratios):
+        q = (u << bits) // (one - eta * u)
+        d = q * (one + eta * q) >> bits
+        e = c0 + dc * j
+        e *= e
+        s_n += q
+        s_d += d
+        s_f += e * q
+        s_df += e * d
+        append((e, q, d))
+        u_next = u * r >> shift
+        if u < u_near and u * (e + 4) < u_cut:
+            k = 2 * (j - edge + 1)
+            found = cut(j, _exact(u + k, -bits), _exact(u_next + k + 2, -bits))
+            if found:
+                break
+        u = u_next
+    else:
+        raise PrecisionExhausted("level sum did not truncate below the target")
+    n = j + 1
+    eo = 2 * kappa * n + 1
+    ed = lam * eo + 1
+    w = weight
+    return FixedPointSums((w * s_n, w * s_d, w * s_f, w * s_df),
+                          (w * n * eo, w * n * ed, w * n * eo * e, w * n * ed * e),
+                          (ed, 2 * lam * ed), points, bits, n, found)
 
 
 def quad_semi_infinite(integrand: Callable, points,

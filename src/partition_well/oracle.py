@@ -33,8 +33,8 @@ below.  Each end is padded outward by 10^(4 - dps) max(1, |alpha|), a few
 units of the working precision: with a single occupied level the bound is
 tight.  No end is found by evaluating the constraint.
 
-Every level sum runs one strided loop over points y_j = y_0 + m j with
-weight m.  Stride m = 1 with y_0 = 1 - tau sums every level y = n - tau.
+Every level sum runs one strided walk over points y_j = y_0 + m j with
+weight m, the fixed-point kernel :func:`~.numerics.fixed_point_walk`.  Stride m = 1 with y_0 = 1 - tau sums every level y = n - tau.
 Where alpha > 0, f(y) = 1/(e^(alpha + b y^2) - eta) is analytic in a strip
 around the real axis, and by Poisson summation m times the sum over every
 m-th point of mZ, plus the closed term (m - sigma) f(0)/2, equals the level
@@ -45,11 +45,17 @@ points replace thousands of levels.  alpha <= 0 keeps m = 1.
 Within one solve b is fixed and only alpha changes, so each solve builds a
 level table (:class:`_LevelTable`) that the bracket ends, every Newton step
 and the final evaluation read from.  It holds Theta_0(b) with its error,
-the strip of :func:`_strip` at the last alpha asked, and, extended lazily,
-per stride the ratios of successive point weights e^(-b y_j^2) (Theta_0
-walks those of stride 1) and the Gaussian tail bound after each point.  A
-level sum at a new alpha then costs two exponentials and multiplications.
-The table is dropped when the solve returns; nothing is cached across solves.
+the strip of :func:`_strip` at the last alpha asked, and, formed on first
+use and extended in chunks, per stride the ratios of successive point
+weights e^(-b y_j^2) as integers (Theta_0 walks those of stride 1) and the
+Gaussian tail bound after each point.  A level sum at a new alpha then costs
+two or three exponentials and, per point, a few integer operations on one
+binary scale: u = e^(-x) steps outward from the Fermi edge by the ratios,
+the holes e^x step inward from it, and every floor and shift is counted
+into a rounding bound that each tail adds.  At stride 1 the number sum is
+unrounded, so that the residual |sum - N| of a sharp Fermi step, of order
+e^(-x) at the edge, is resolved.  The table is dropped when the solve
+returns; nothing is cached across solves.
 
 Asked for ``derivatives``, a solve adds df/dt and d^2f/dt^2 of its side,
 each with a certified bound, from the points that the final evaluation
@@ -74,7 +80,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count
 from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
@@ -86,8 +91,10 @@ from .numerics import (
     SOLVER_FAILURES,
     MaxIterations,
     PrecisionExhausted,
+    FixedPointLattice,
     PrecisionPolicy,
     find_root_bracketed,
+    fixed_point_walk,
     gaussian_tail_upper_bound,
     pad_outward,
 )
@@ -201,23 +208,29 @@ class _LevelSums(NamedTuple):
     tail_dforce: mpf
     terms: int           # points summed
     stride: int
-    points: list         # (e, N) of each summed point, for the moment sums
+    walk: tuple          # the FixedPointSums of the walk, for the moment sums
     cut: tuple           # (j, y_j, u_(j+1)) of the last summed point
 
 
 def _theta0(lattice: _Lattice, sigma: int, eps: mpf):
     """sum_{n>=1} exp(-beta e_n) with certified error below eps, beta = b of
-    the stride-1 ``lattice``; from beta = 1.5 on, summed over its ratios."""
+    the stride-1 ``lattice``; from beta = 1.5 on, walked over its points as
+    w_1 times the sum of e^(-beta (e_n - e_1)) <= 1: a ratio table shared
+    with the level sums, and no deep scale however small w_1 is."""
     beta = lattice.b
     if beta >= _THETA_POISSON_MAX_BETA:
-        u, s = mp.exp(-lattice.b_y0), mpf(0)
-        for j in count():
-            s += u
-            rho = lattice.ratio(j)
-            tail = u * rho / (1 - rho)  # level spacing grows, so rho only shrinks
-            if tail < eps:
-                return s, tail
-            u *= rho
+        w1 = mp.exp(-lattice.b_y0)
+        # level spacing grows, so every ratio is at most the first
+        shortfall = -mp.expm1(-beta * (2 * lattice.y0 + 1))
+        rel = eps / w1
+
+        def cut(j, u, u_next):
+            tail = u_next / shortfall
+            return tail < rel and (tail,)
+
+        walk = fixed_point_walk(lattice, 0, -lattice.b_y0, rel, mpf(2), cut)
+        (total, _), (rounding, _) = walk.scaled(walk.totals[:2]), walk.scaled(walk.bounds[:2])
+        return w1 * total, w1 * (walk.cut[0] + rounding)
     pref = mp.sqrt(mp.pi / (4 * beta))
     g = mp.exp(-mp.pi ** 2 / beta)
     sgn = 2 * sigma - 1
@@ -248,22 +261,15 @@ def _strip(alpha, b):
     return a, mp.sqrt(mp.pi / b) * mp.exp(-delta) / shortfall, shortfall, 1 / (2 * b) + a * a
 
 
-class _Lattice:
-    """Points y_j = y_0 + m j (j >= 0) of stride m, with the ratios
-    e^(-b (2 m y_j + m^2)) of successive weights e^(-b y_j^2), each the last
-    times e^(-2 b m^2), and the Gaussian tail terms after each point."""
+class _Lattice(FixedPointLattice):
+    """Points y_j = y_0 + m j (j >= 0) of stride m, with the integer ratio
+    table of :class:`~.numerics.FixedPointLattice`, and the Gaussian tail
+    terms after each point."""
 
     def __init__(self, b: mpf, sqrt_b: mpf, y0: mpf, m: int):
-        self.m, self.y0, self.b, self.b_y0, self._sqrt_b = m, y0, b, b * y0 ** 2, sqrt_b
-        self._ratios = [mp.exp(-b * (m * (2 * y0 + m)))]
-        self._shrink = mp.exp(-2 * b * m * m)
+        super().__init__(b, y0, m)
+        self.b_y0, self._sqrt_b = b * y0 ** 2, sqrt_b
         self._gauss = {}
-
-    def ratio(self, j: int) -> mpf:
-        ratios = self._ratios
-        while len(ratios) <= j:
-            ratios.append(ratios[-1] * self._shrink)
-        return ratios[j]
 
     def gauss(self, j: int) -> tuple:
         """(z, e^(-z^2), G_0) at z = sqrt(b) y_(j+1), G_0 an upper bound on
@@ -281,8 +287,10 @@ class _LevelTable:
     solve.  It holds Theta_0(b) for the closed-form bracket ends, summed to
     10^(-dps) w_1 (w_1 = e^(-b e_1), the weight of the first level), and one
     :class:`_Lattice` per stride used: the levels y = n - tau for m = 1,
-    the points y = m, 2m, ... for m >= 2.  A level sum at alpha then costs
-    e^(-alpha), e^(-alpha - b y_0^2) and multiplications.
+    the points y = m, 2m, ... for m >= 2, whose integer ratios are formed on
+    the first walk.  A level sum at alpha then costs e^(-alpha), the
+    exponentials that start the walk at the Fermi edge, and integer
+    operations.
     """
 
     def __init__(self, stat: Statistics, side: WellSide, b: mpf, eps: mpf):
@@ -402,8 +410,10 @@ def _cut(table: _LevelTable, lattice: _Lattice, alpha: mpf, ealpha: mpf, j: int,
     ``eps``, else None: R_0 and R_1 of :func:`power_tails`, where b y^2 >= 2
     and x >= 1.  The alpha-derivatives have twice these tails."""
     b = table.b
-    # a cheap precheck before the closed-form bounds
-    if not (lattice.m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2):
+    # cheap prechecks before the closed-form bounds: R_1 exceeds its
+    # integral part, (y + m) u_(j+1)/b, which u_next bounds within half
+    if not (lattice.m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2
+            and u_next * (y + lattice.m) < 2 * eps * b):
         return None
     tail_n, tail_f = power_tails(table, lattice, ealpha, j, y, u_next, 1)
     return (tail_n, tail_f) if tail_n < eps and tail_f < eps else None
@@ -417,42 +427,46 @@ def _origin_terms(table: _LevelTable, ealpha: mpf, m: int) -> tuple:
     return half * occ0, -half * occ0 * (1 + table.eta * occ0)
 
 
+def _walk(table: _LevelTable, alpha: mpf, m: int, full: bool = True):
+    """:func:`~.numerics.fixed_point_walk` over the points of stride ``m``
+    to the cut of :func:`_cut`, whose tails and (j, y_j, u_(j+1)) it keeps,
+    and e^(-alpha).  A number walk (``full`` unset) at m = 1 stops on the
+    number tail R_0 of :func:`power_tails` alone."""
+    lattice = table.lattice(m)
+    # stride m >= 2 leaves half the target to the aliasing
+    eps = table.eps if m == 1 else table.eps / 2
+    ealpha = mp.exp(-alpha)
+    weighted = full or m > 1
+
+    def cut(j, u, u_next):
+        y = lattice.y0 + m * j
+        if not weighted:
+            return alpha + table.b * (y * y) >= 1 and \
+                power_tails(table, lattice, ealpha, j, y, u_next, 0)[0] < eps
+        tails = _cut(table, lattice, alpha, ealpha, j, y, y * y, u, u_next, eps)
+        return tails and (tails, (j, y, u_next))
+
+    # u < eps/(4 m), or where weighted 4 m u (e + 1) < eps, is a necessary
+    # condition of either cut
+    return fixed_point_walk(lattice, table.eta, alpha, eps / m, eps / 4 / m, cut, m,
+                            weighted), ealpha
+
+
 def _number_sums(table: _LevelTable, alpha: mpf):
     """(sum_n N_n, its alpha-derivative), within ``table.eps`` and
-    2 ``table.eps`` of the full sums: the loop of :func:`_level_sums`
-    without the force sums, for the constraint iteration.  At m = 1 it stops
-    on the number tail R_0 of :func:`power_tails` alone; at m >= 2 where
+    2 ``table.eps`` of the full sums: the walk of :func:`_level_sums`, for
+    the constraint iteration.  At m = 1 it stops on the number tail R_0 of
+    :func:`power_tails` alone, and its number is unrounded; at m >= 2 where
     :func:`_level_sums` stops, so that the root is found on the number sums
     of the final evaluation.
     """
     m = table.stride(alpha)
-    lattice = table.lattice(m)
-    one, fermion, b = mpf(1), table.eta < 0, table.b
-    # stride m >= 2 leaves half the target to the aliasing
-    eps = table.eps if m == 1 else table.eps / 2
-    u_cut = eps / 4 / m  # a necessary condition of either cut
-    u = mp.exp(-(alpha + lattice.b_y0))
-    s_n = s_dn = mpf(0)
-    ealpha = mp.exp(-alpha)
-    for j in range(10 ** 7):
-        # 1/(e^x - eta) and its alpha-derivative from u = e^(-x)
-        occ = u / (one + u if fermion else one - u)
-        s_n += occ
-        s_dn += occ * (one - occ if fermion else one + occ)
-        u_next = u * lattice.ratio(j)
-        if u < u_cut:
-            y = lattice.y0 + m * j
-            if m == 1:
-                if alpha + b * (y * y) >= 1 and \
-                        power_tails(table, lattice, ealpha, j, y, u_next, 0)[0] < eps:
-                    return s_n, -s_dn
-            elif _cut(table, lattice, alpha, ealpha, j, y, y * y, u, u_next, eps):
-                break
-        u = u_next
-    else:
-        raise PrecisionExhausted("level sum did not truncate below the target")
+    walk, ealpha = _walk(table, alpha, m, False)
+    number, dnumber = walk.scaled(walk.totals[:2])
+    if m == 1:
+        return number, -dnumber
     origin_n, origin_dn = _origin_terms(table, ealpha, m)
-    return origin_n + m * s_n, origin_dn - m * s_dn
+    return origin_n + number, origin_dn - dnumber
 
 
 def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
@@ -461,45 +475,26 @@ def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
     alpha-independent work of the solve from call to call.  m = 1 sums
     every level y = n - tau.  m >= 2 sums m F(y) at y = m, 2m, ... and adds
     (m - sigma) F(0)/2; its tails add :meth:`_LevelTable.aliasing` to the
-    truncation bounds of :func:`_cut`, which take half the target.
+    truncation bounds of :func:`_cut`, which take half the target.  Every
+    tail adds the walk's counted rounding.
     """
     if m is None:
         m = table.stride(alpha)
-    lattice = table.lattice(m)
-    one, fermion = mpf(1), table.eta < 0
-    eps = table.eps if m == 1 else table.eps / 2
-    u_cut = eps / 4 / m  # a necessary condition of the cut
-    u = mp.exp(-(alpha + lattice.b_y0))
-    s_n = s_dn = s_f = s_df = mpf(0)
-    y = lattice.y0
-    ealpha = mp.exp(-alpha)
-    points = []
-    for j in range(10 ** 7):
-        en = y * y
-        occ = u / (one + u if fermion else one - u)
-        points.append((en, occ))
-        docc = occ * (one - occ if fermion else one + occ)
-        s_n += occ
-        s_dn += docc
-        s_f += en * occ
-        s_df += en * docc
-        u_next = u * lattice.ratio(j)
-        tails = u < u_cut and _cut(table, lattice, alpha, ealpha, j, y, en, u, u_next, eps)
-        if tails:
-            break
-        u = u_next
-        y += m
-    else:
-        raise PrecisionExhausted("level sum did not truncate below the target")
-    tail_n, tail_f = tails
+    walk, ealpha = _walk(table, alpha, m)
+    s_n, s_dn, s_f, s_df = walk.scaled(walk.totals)
+    r_n, r_dn, r_f, r_df = walk.scaled(walk.bounds)
+    (tail_n, tail_f), cut = walk.cut
     # m = 1 has no aliasing and no origin term
-    a_n = a_dn = a_f = a_df = origin_n = origin_dn = 0
+    a_n = a_dn = a_f = a_df = 0
+    number, dnumber = s_n, -s_dn
     if m > 1:
         a_n, a_dn, a_f, a_df = table.aliasing(alpha, m)
         origin_n, origin_dn = _origin_terms(table, ealpha, m)
-    return _LevelSums(origin_n + m * s_n, origin_dn - m * s_dn, m * s_f, -m * s_df,
-                      tail_n + a_n, 2 * tail_n + a_dn, tail_f + a_f, 2 * tail_f + a_df,
-                      j + 1, m, points, (j, y, u_next))
+        number, dnumber = origin_n + s_n, origin_dn - s_dn
+    return _LevelSums(number, dnumber, s_f, -s_df,
+                      tail_n + a_n + r_n, 2 * tail_n + a_dn + r_dn,
+                      tail_f + a_f + r_f, 2 * tail_f + a_df + r_df,
+                      walk.terms, m, walk, cut)
 
 
 def gauss_moment_factor(k: int, s: mpf, b: mpf) -> mpf:
@@ -541,23 +536,35 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
     the moment factor of :func:`gauss_moment_factor` at s = a^2 + |c|,
     times 1/(1 - e^(-delta)) per alpha-derivative (twice for n'').
     """
-    m = sums.stride
-    one, fermion, eta = mpf(1), table.eta < 0, table.eta
+    m, walk, eta = sums.stride, sums.walk, table.eta
     c = sums.dforce / sums.dnumber
-    # per point w^2 D, w^2 and w n''/D; the sums are exact dot products
-    q2, w2, w3 = [], [], []
-    for en, occ in sums.points:
-        w = en - c
-        w2.append(w * w)
-        q2.append(w2[-1] * occ * (one - occ if fermion else one + occ))
-        w3.append(w * (one - 2 * occ if fermion else one + 2 * occ))
-    c2, c4, b3 = mp.fsum(q2), mp.fdot(q2, w2), mp.fdot(q2, w3)
+    # with 4 c 2^k = C an integer, w = 4 2^k (e - c) = 4e 2^k - C at each
+    # point; the sums are exact integer dot products on the walk's scale
+    sign, man, exp, _ = c._mpf_
+    k = max(0, -exp - 2)
+    centre, one, bits = (-1) ** sign * man << (exp + 2 + k), 1 << walk.bits, walk.bits
+    s2 = s4 = s3 = 0
+    for e4, occ, docc in walk.points:
+        w = (e4 << k) - centre
+        q2 = w * w * docc
+        s2 += q2
+        s4 += q2 * w * w
+        s3 += q2 * w * (one + 2 * eta * occ)
+    c2 = mp.ldexp(s2, -bits - 2 * (k + 2))
+    c4 = mp.ldexp(s4, -bits - 4 * (k + 2))
+    b3 = mp.ldexp(s3, -2 * bits - 3 * (k + 2))
     ealpha = mp.exp(-alpha)
     r = power_tails(table, table.lattice(m), ealpha, *sums.cut, 4)
     # tails of sum m (e + |c|)^k 2 e^(-x), k = 2..4
     p = {k: sum(math.comb(k, i) * abs(c) ** (k - i) * r[i] for i in range(k + 1))
          for k in (2, 3, 4)}
-    tail_c2, tail_c4, tail_b3 = 2 * p[2], 2 * p[4], 6 * p[3]
+    # the rounding: |w| <= e + |c| <= e_cut + |c| at each of the walk's
+    # points, whose D and n'' carry its per-point errors
+    d_err, d2_err = walk.scaled(walk.per_point)
+    spread, points = sums.cut[1] ** 2 + abs(c), m * walk.terms
+    tail_c2 = 2 * p[2] + points * spread ** 2 * d_err
+    tail_c4 = 2 * p[4] + points * spread ** 4 * d_err
+    tail_b3 = 6 * p[3] + points * spread ** 3 * d2_err
     if m == 1:
         return Moments(c, c2, c4, b3, tail_c2, tail_c4, tail_b3)
     # the points y = m, 2m, ... carry weight m; y = 0 carries (m - sigma)/2

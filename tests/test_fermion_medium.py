@@ -232,16 +232,24 @@ class TestPairCut:
 
     @PAIR_TARGETS
     @PAIR_ALPHAS
-    def test_plateau_holes_within_bound(self, alpha, target):
+    def test_plateau_holes_within_bound(self, alpha, target, monkeypatch):
+        # the levels below the last hole the walk stepped count as filled;
+        # their holes lie within the walk's rounding of the sum
+        walks = []
+        walk = fermion_medium.fixed_point_walk
+        monkeypatch.setattr(fermion_medium, "fixed_point_walk",
+                            lambda *args: walks.append(walk(*args)) or walks[-1])
         with mp.workdps(DEFAULT_POLICY.dps):
             alpha = mpf(alpha)
-            eps = _sum_target(alpha, target)
-            h, j0 = fermion_medium._fermi_lattice(alpha, eps)
+            fermi_integral(alpha, policy=PrecisionPolicy(target_abs_error=target))
+            h = fermion_medium._fermi_lattice(alpha, _sum_target(alpha, target))
+            plateau = walks[-1].terms - len(walks[-1].points)
             # the Fermi sea is deep enough for a plateau only at the two
             # largest edges
-            assert (j0 > 0) == (alpha < -300)
-            holes = [1 / (mp.exp(-alpha - (j * h) ** 2) + 1) for j in range(j0)]
-            assert h * (mp.fsum(holes) - (holes[0] / 2 if holes else 0)) <= eps / 8
+            assert (plateau > 0) == (alpha < -300)
+            holes = [1 / (mp.exp(-alpha - (j * h) ** 2) + 1) for j in range(1, plateau + 1)]
+            assert mp.fsum(holes) <= walks[-1].scaled(walks[-1].bounds)[0]
+
 
     @PAIR_TARGETS
     @PAIR_ALPHAS
@@ -250,7 +258,7 @@ class TestPairCut:
             alpha = mpf(alpha)
             eps = _sum_target(alpha, target)
             a, M, M_prime = fermion_medium._fermi_strip(alpha)
-            h = fermion_medium._fermi_lattice(alpha, eps)[0]
+            h = fermion_medium._fermi_lattice(alpha, eps)
             assert M_prime / mp.expm1(2 * mp.pi * a / h) <= eps / 4 * (1 + mpf(10) ** -20)
         with mp.workdps(60):
             I, I_prime = _polylog_pair(alpha)

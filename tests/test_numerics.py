@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from partition_well.boson_medium import spectral_sum
@@ -10,7 +11,9 @@ from partition_well.numerics import (
     NonConvergent,
     PrecisionExhausted,
     PrecisionPolicy,
+    FixedPointLattice,
     find_root_bracketed,
+    fixed_point_walk,
     gaussian_tail_upper_bound,
     quad_semi_infinite,
 )
@@ -219,3 +222,87 @@ class TestQuadSemiInfinite:
         with pytest.raises(NonConvergent):
             quad_semi_infinite(lambda y: mp.sqrt(abs(y - mpf(1) / 3)) * mp.exp(-y),
                                [0, 1, mp.inf], policy)
+
+
+def _walk_in_mpf(lattice, eta, alpha, terms, weight, prec):
+    """The four sums of :func:`fixed_point_walk` over its first ``terms``
+    points, in mpf at ``prec`` bits: u = e^(-x) stepped by ratios formed at
+    that precision, N = u/(1 - eta u), D = N (1 + eta N), e = y^2."""
+    with mp.workprec(prec):
+        b, y0, m = mpf(lattice.b), mpf(lattice.y0), mpf(lattice.m)
+        u = mp.exp(-(alpha + b * y0 ** 2))
+        ratio, shrink = mp.exp(-b * m * (2 * y0 + m)), mp.exp(-2 * b * m * m)
+        sums = [mpf(0)] * 4
+        for j in range(terms):
+            e = (y0 + m * j) ** 2
+            occ = u / (1 - eta * u)
+            docc = occ * (1 + eta * occ)
+            for k, v in enumerate((occ, docc, e * occ, e * docc)):
+                sums[k] += weight * v
+            u, ratio = u * ratio, ratio * shrink
+        return sums
+
+
+class TestFixedPointWalk:
+    """The kernel's four sums lie within its counted rounding of the same
+    points summed in mpf at three times its scale's bits, and that rounding
+    is positive: a kernel that left it out fails here."""
+
+    @staticmethod
+    def _check(b, y0, m, eta, alpha, eps):
+        with mp.workdps(40):
+            b, y0, alpha, eps = mpf(b), mpf(y0), mpf(alpha), mpf(eps)
+            lattice = FixedPointLattice(b, y0, m)
+            walk = fixed_point_walk(lattice, eta, alpha, eps / m, eps / 4 / m,
+                                    lambda j, u, u_next: True, m, True)
+            exact = _walk_in_mpf(lattice, eta, alpha, walk.terms, m, 3 * walk.bits)
+            with mp.workprec(3 * walk.bits):
+                for value, rounding, ref in zip(walk.scaled(walk.totals),
+                                                walk.scaled(walk.bounds), exact):
+                    assert rounding > 0
+                    assert abs(value - ref) <= rounding
+            return walk
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 30), side=st.sampled_from([0, 1]), shift=st.floats(-0.5, 0.5))
+    # the seed-1 sharp-step cells: x = -+1242 at the edge of N = 12
+    @example(N=12, side=0, shift=0.5)
+    @example(N=12, side=1, shift=0.5)
+    def test_deep_fermi_sea(self, N, side, shift):
+        # t = 0.01: alpha near -b N^2, a sharp step; the sea's holes are
+        # walked from the edge and its depth is counted as a plateau
+        self._check(100, mpf(1) / 2 if side else 1, 1, -1, -100 * (N + shift) ** 2, "1e-20")
+
+    @settings(max_examples=25, deadline=None)
+    @given(log10_b=st.floats(-3, 0), alpha=st.floats(-5, 0), side=st.sampled_from([0, 1]))
+    def test_soft_fermi_step(self, log10_b, alpha, side):
+        self._check(mpf(10) ** log10_b, mpf(1) / 2 if side else 1, 1, -1, alpha, "1e-16")
+
+    @settings(max_examples=25, deadline=None)
+    @given(log10_b=st.floats(-3, 1), side=st.sampled_from([0, 1]))
+    @example(log10_b=1.0, side=0)
+    def test_bosons_near_the_pole(self, log10_b, side):
+        # alpha + b e_1 = 1e-3: N_1 near 1000 amplifies the rounding of u
+        b = mpf(10) ** log10_b
+        y0 = mpf(1) / 2 if side else mpf(1)
+        walk = self._check(b, y0, 1, 1, mpf("1e-3") - b * y0 ** 2, "1e-16")
+        assert walk.points[0][1] >> walk.bits >= 900
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 60), log10_b=st.floats(-6, -3),
+           alpha=st.floats(0.01, 12), eta=st.sampled_from([-1, 1]))
+    def test_strides(self, m, log10_b, alpha, eta):
+        self._check(mpf(10) ** log10_b, m, m, eta, alpha, "1e-18")
+
+    @pytest.mark.parametrize("t", ["1e120", "1e308"])
+    @pytest.mark.parametrize("eta", [-1, 1])
+    def test_huge_temperatures(self, t, eta):
+        # the classical root of N = 5 and a stride near a/500: the scale
+        # follows eps/m far below 2^-(working bits)
+        with mp.workdps(40):
+            b = 1 / mpf(t)
+            alpha = mp.log(mp.sqrt(mp.pi / b) / 2 / 5)
+            m = int(mp.sqrt(alpha / b) / 500)
+            eps = mpf("1e-16") * b
+        walk = self._check(b, m, m, eta, alpha, eps)
+        assert walk.bits > -float(mp.log(eps, 2)) and walk.terms < 10 ** 4

@@ -392,6 +392,33 @@ class TestSearchCounters:
         assert abs(found.t_end - mpf("1.5093439")) < mpf("1e-6")
 
 
+class TestSharpStepCertificate:
+    """At a sharp Fermi step the constraint's slope is e^(-1242) (N=12,
+    t=0.01): the residual bound must hold against the level sum at 3000
+    digits, at the solver's own b, 1/t formed at the working precision.
+    A number sum rounded to working precision reads every filled level as
+    1; at these seed-1 curve cells it claimed 7.6e-1706 against a true
+    2.1e-572 (N=12, minus side) and 7.7e-598 against 6.5e-204 (N=4, plus
+    side)."""
+
+    @pytest.mark.parametrize("N,t", [(4, "0.0101774"), (12, "0.0100589")])
+    @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
+    def test_residual_bound_holds(self, N, t, side):
+        t = mpf(t)
+        sol = solve_alpha(FERMION, side, N, t)
+        with mp.workdps(DEFAULT_POLICY.dps):
+            b = 1 / t
+        with mp.workdps(3000):
+            tau, total, n = as_mpf(side.tau), mpf(0), 1
+            while True:
+                x = sol.alpha + b * (n - tau) ** 2
+                total += 1 / (mp.exp(x) + 1)
+                if x > 7000:
+                    break
+                n += 1
+            assert 0 < abs(total - N) <= sol.residual_bound
+
+
 class TestRootCounters:
     """Constraint solves pinned in work per side, minus side then plus side:
     root-finder evaluations (end points included) and ``_number_sums``
@@ -487,7 +514,10 @@ class TestRootCounters:
         # fermion N=1 at t=0.01: the Boltzmann upper end log(Theta_0/N) lies
         # on the flank of the Fermi step, where Newton crawled by about one
         # unit of alpha per step (96 evaluations per side); steps that stop
-        # shrinking now bisect
+        # shrinking now bisect.  The root lies midway between the first two
+        # levels' x = 0, at -b (y_1^2 + y_2^2)/2, and is found there: a
+        # number sum rounded to working precision read 1 - e^(-120) as 1,
+        # and stopped the minus side after 9 evaluations at alpha = -220.5
         policy = DEFAULT_POLICY
         with mp.workdps(policy.dps):
             b = 1 / mpf("0.01")
@@ -503,16 +533,18 @@ class TestRootCounters:
                 res = oracle.find_root_bracketed(
                     g, lo, mp.log(table.theta0()[0]), policy,
                     derivative=True)
+                tau = as_mpf(side.tau)
+                assert abs(res.root + b * ((1 - tau) ** 2 + (2 - tau) ** 2) / 2) < mpf("1e-8")
                 assert abs(res.residual) <= policy.target_abs_error
-                assert res.evaluations <= 16
+                assert res.evaluations <= 24
 
 
 class TestLatticeWalks:
-    """Points walked per net force, counted in ``_Lattice.ratio`` calls, and
-    strips evaluated, counted in ``_strip`` calls: the derivatives are
-    summed over the points the final level-sum pass recorded, with the
-    strip that pass used, so asking for them walks no point more and
-    evaluates no strip more."""
+    """Points walked per net force, counted through the walks of
+    ``fixed_point_walk`` (its ``terms``), and strips evaluated, counted in
+    ``_strip`` calls: the derivatives are summed over the points the final
+    level-sum pass recorded, with the strip that pass used, so asking for
+    them walks no point more and evaluates no strip more."""
 
     @pytest.mark.parametrize("stat,N,t", [
         (BOSON, 6, "3"), (FERMION, 3, "1.1"), (FERMION, 100, "4440"),
@@ -521,18 +553,19 @@ class TestLatticeWalks:
     ])
     def test_derivatives_walk_no_extra_point(self, monkeypatch, stat, N, t):
         walked = []
-        ratio = oracle._Lattice.ratio
+        walk = oracle.fixed_point_walk
 
-        def counting_ratio(lattice, j):
-            walked.append(j)
-            return ratio(lattice, j)
+        def counting_walk(*args, **kwargs):
+            result = walk(*args, **kwargs)
+            walked.append(result.terms)
+            return result
 
-        monkeypatch.setattr(oracle._Lattice, "ratio", counting_ratio)
+        monkeypatch.setattr(oracle, "fixed_point_walk", counting_walk)
         counts = []
         for flag in (False, True):
             walked.clear()
             net_force(stat, N, mpf(t), derivatives=flag)
-            counts.append(len(walked))
+            counts.append(sum(walked))
         assert counts[0] > 0 and counts[1] == counts[0]
 
     @pytest.mark.parametrize("stat,N,t", [
