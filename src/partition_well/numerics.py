@@ -245,11 +245,13 @@ def pad_outward(lo: mpf, hi: mpf) -> tuple:
 
 # A walk's scale lies _SCALE_GUARD bits below its targets and its ratio table
 # _RATIO_GUARD bits below the scale; the table is built _RATIO_CHUNK ratios
-# at a time.  No walk runs on a scale finer than _MAX_SCALE_BITS.
+# at a time.  No walk runs on a scale finer than _MAX_SCALE_BITS, and the
+# moments of a recorded walk ask for at most _MOMENT_BITS.
 _SCALE_GUARD = 64
 _RATIO_GUARD = 32
 _RATIO_CHUNK = 64
 _MAX_SCALE_BITS = 1 << 22
+_MOMENT_BITS = 1 << 16
 _MAX_POINTS = 10 ** 7
 _LOG2E = 1 / math.log(2)
 
@@ -345,7 +347,7 @@ class FixedPointSums(NamedTuple):
     totals: tuple    # sum N, sum D, sum 4e N, sum 4e D
     bounds: tuple    # a bound on the rounding of each
     per_point: tuple  # bounds on the rounding of D and of D (1 + 2 eta N) at each point
-    points: list     # (4 e, N, D) of each walked point
+    points: list     # (4 e, N, D) of each point up to the cut, if recorded
     bits: int
     terms: int       # the points up to the cut, a plateau included
     cut: object      # what ``cut`` returned
@@ -358,7 +360,7 @@ class FixedPointSums(NamedTuple):
 
 def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
                      u_cut: mpf, cut: Callable, weight: int = 1,
-                     weighted: bool = False) -> FixedPointSums:
+                     weighted: bool = False, record: bool = False) -> FixedPointSums:
     """Sums of N = 1/(e^x - eta) and D = -dN/dx = N (1 + eta N) at the
     points of ``lattice``, x_j = alpha + b y_j^2, and of e N and e D (e =
     y^2, 4e an integer) if ``weighted``, each times ``weight``, in integers
@@ -370,13 +372,18 @@ def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
     one unit, the rest of the sea counts as filled, a plateau.  The walk
     stops at the first j with u_j (4 e_j + 4) < 4 ``u_cut`` (e = 0 unless
     ``weighted``) where ``cut(j, u_j, u_(j+1))``, given upper bounds, is
-    true.
+    true.  With ``record`` it keeps (4e, N, D) of every point, for moment
+    sums about a mean level.
 
     P, chosen from binary exponents, lies ``_SCALE_GUARD`` bits below the
     larger of 2^-growth ``eps`` (eps the target of the unweighted sums) and
     the working precision at the depth e^(-min |x_j|) of a Fermi edge, so a
     step is resolved however sharp.  Where that depth is 3/5 of P or more,
-    the next u and v lie below one unit: each side walks one point.
+    the next u and v lie below one unit: each side walks one point.  A
+    recorded boson walk also resolves D ~ e^(-x_1) of its second point at
+    working precision, up to 2^-``_MOMENT_BITS``: about the mean level of
+    a condensate, the first point's weight cancels from the moments, and
+    the second's sets them.
 
     Rounding, in units of 2^-P: the first u and v are within 1 + 2^-20, and
     each step adds 1 for its floor and u 3 C 2^(P - shift) < 1 for its
@@ -395,14 +402,11 @@ def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
         if not y_edge < _MAX_POINTS * float(m):
             raise PrecisionExhausted("Fermi sea too deep for a level walk")
         edge = max(1, math.ceil((y_edge - float(y0)) / float(m)))
-        x_edge = lattice.x(alpha, edge)
-        while x_edge[0]:
+        while lattice.x(alpha, edge)[0]:
             edge += 1
-            x_edge = lattice.x(alpha, edge)
-        x_sea = lattice.x(alpha, edge - 1)
-        while edge > 1 and not x_sea[0]:
-            edge, x_edge = edge - 1, x_sea
-            x_sea = lattice.x(alpha, edge - 1)
+        while edge > 1 and not lattice.x(alpha, edge - 1)[0]:
+            edge -= 1
+        x_edge, x_sea = lattice.x(alpha, edge), lattice.x(alpha, edge - 1)
     # the depth of the Fermi edge, min_j |x_j|
     depth = min(mp.make_mpf(x_edge), -mp.make_mpf(x_sea)) if edge else 0
     # the scale: room for n^2 kappa lambda e below the target, n and e
@@ -413,7 +417,11 @@ def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
     log_g = max(0, 1 - _log2(x_edge)) + 1 if eta > 0 else 0
     growth = 2 + 2 * log_n + 3 * log_g + max(log_e, 0)
     depth_bits = int(min(float(depth), _MAX_SCALE_BITS) * _LOG2E)
-    bits = max(bits_eps + math.ceil(growth), mp.prec + depth_bits) + _SCALE_GUARD
+    moment_bits = 0
+    if record and eta > 0:
+        moment_bits = int(min(float(mp.make_mpf(lattice.x(alpha, 1))) * _LOG2E, _MOMENT_BITS))
+    bits = max(bits_eps + math.ceil(growth), mp.prec + max(depth_bits, moment_bits)) \
+        + _SCALE_GUARD
     if bits > _MAX_SCALE_BITS:
         raise PrecisionExhausted("level walk needs a scale finer than 2^-%d" % _MAX_SCALE_BITS)
     deep = 5 * depth_bits >= 3 * bits
@@ -436,10 +444,13 @@ def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
             s_d += d
             holes_f += e * h
             s_df += e * d
-            append((e, one - h, d))
+            if record:
+                append((e, one - h, d))
             v = v * r >> shift
             if not v:
                 break
+        if record:  # the plateau
+            points.extend(((c0 + dc * i) ** 2, one, 0) for i in range(j))
         # levels 0 .. edge - 1 filled, sum of (c0 + dc i)^2 in closed form
         s_n = edge * one - holes
         s_f = one * (edge * c0 * c0 + c0 * dc * edge * (edge - 1)
@@ -461,7 +472,8 @@ def fixed_point_walk(lattice: FixedPointLattice, eta: int, alpha: mpf, eps: mpf,
         s_d += d
         s_f += e * q
         s_df += e * d
-        append((e, q, d))
+        if record:
+            append((e, q, d))
         u_next = u * r >> shift
         if u < u_near and u * (e + 4) < u_cut:
             k = 2 * (j - edge + 1)

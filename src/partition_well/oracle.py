@@ -430,8 +430,9 @@ def _origin_terms(table: _LevelTable, ealpha: mpf, m: int) -> tuple:
 def _walk(table: _LevelTable, alpha: mpf, m: int, full: bool = True):
     """:func:`~.numerics.fixed_point_walk` over the points of stride ``m``
     to the cut of :func:`_cut`, whose tails and (j, y_j, u_(j+1)) it keeps,
-    and e^(-alpha).  A number walk (``full`` unset) at m = 1 stops on the
-    number tail R_0 of :func:`power_tails` alone."""
+    and e^(-alpha).  A full walk records its points for :func:`moment_sums`;
+    a number walk (``full`` unset) at m = 1 stops on the number tail R_0 of
+    :func:`power_tails` alone."""
     lattice = table.lattice(m)
     # stride m >= 2 leaves half the target to the aliasing
     eps = table.eps if m == 1 else table.eps / 2
@@ -449,7 +450,7 @@ def _walk(table: _LevelTable, alpha: mpf, m: int, full: bool = True):
     # u < eps/(4 m), or where weighted 4 m u (e + 1) < eps, is a necessary
     # condition of either cut
     return fixed_point_walk(lattice, table.eta, alpha, eps / m, eps / 4 / m, cut, m,
-                            weighted), ealpha
+                            weighted, full), ealpha
 
 
 def _number_sums(table: _LevelTable, alpha: mpf):
@@ -535,6 +536,8 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
     |n''| <= 2 e^(-Re x)/(1 - e^(-delta))^3, so each integrates to M times
     the moment factor of :func:`gauss_moment_factor` at s = a^2 + |c|,
     times 1/(1 - e^(-delta)) per alpha-derivative (twice for n'').
+    Rounding: the walk's per-point bounds on D and n'' times the sums of
+    |w|^k over the points it recorded, a filled plateau included.
     """
     m, walk, eta = sums.stride, sums.walk, table.eta
     c = sums.dforce / sums.dnumber
@@ -543,13 +546,18 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
     sign, man, exp, _ = c._mpf_
     k = max(0, -exp - 2)
     centre, one, bits = (-1) ** sign * man << (exp + 2 + k), 1 << walk.bits, walk.bits
-    s2 = s4 = s3 = 0
+    # next to them the sums of w^2, |w|^3 and w^4, for the rounding
+    s2 = s4 = s3 = a2 = a3 = a4 = 0
     for e4, occ, docc in walk.points:
         w = (e4 << k) - centre
-        q2 = w * w * docc
+        w2 = w * w
+        q2 = w2 * docc
         s2 += q2
-        s4 += q2 * w * w
+        s4 += q2 * w2
         s3 += q2 * w * (one + 2 * eta * occ)
+        a2 += w2
+        a3 += w2 * abs(w)
+        a4 += w2 * w2
     c2 = mp.ldexp(s2, -bits - 2 * (k + 2))
     c4 = mp.ldexp(s4, -bits - 4 * (k + 2))
     b3 = mp.ldexp(s3, -2 * bits - 3 * (k + 2))
@@ -558,13 +566,11 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
     # tails of sum m (e + |c|)^k 2 e^(-x), k = 2..4
     p = {k: sum(math.comb(k, i) * abs(c) ** (k - i) * r[i] for i in range(k + 1))
          for k in (2, 3, 4)}
-    # the rounding: |w| <= e + |c| <= e_cut + |c| at each of the walk's
-    # points, whose D and n'' carry its per-point errors
+    # the rounding: the walk's per-point errors of D and n'', times |w|^k
     d_err, d2_err = walk.scaled(walk.per_point)
-    spread, points = sums.cut[1] ** 2 + abs(c), m * walk.terms
-    tail_c2 = 2 * p[2] + points * spread ** 2 * d_err
-    tail_c4 = 2 * p[4] + points * spread ** 4 * d_err
-    tail_b3 = 6 * p[3] + points * spread ** 3 * d2_err
+    tail_c2 = 2 * p[2] + m * mp.ldexp(a2, -2 * (k + 2)) * d_err
+    tail_c4 = 2 * p[4] + m * mp.ldexp(a4, -4 * (k + 2)) * d_err
+    tail_b3 = 6 * p[3] + m * mp.ldexp(a3, -3 * (k + 2)) * d2_err
     if m == 1:
         return Moments(c, c2, c4, b3, tail_c2, tail_c4, tail_b3)
     # the points y = m, 2m, ... carry weight m; y = 0 carries (m - sigma)/2

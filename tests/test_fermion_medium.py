@@ -238,12 +238,14 @@ class TestPairCut:
         walks = []
         walk = fermion_medium.fixed_point_walk
         monkeypatch.setattr(fermion_medium, "fixed_point_walk",
-                            lambda *args: walks.append(walk(*args)) or walks[-1])
+                            lambda *args: walks.append(walk(*args, record=True)) or walks[-1])
         with mp.workdps(DEFAULT_POLICY.dps):
             alpha = mpf(alpha)
             fermi_integral(alpha, policy=PrecisionPolicy(target_abs_error=target))
             h = fermion_medium._fermi_lattice(alpha, _sum_target(alpha, target))
-            plateau = walks[-1].terms - len(walks[-1].points)
+            # the recorded points read as filled on the walk's scale
+            one = 1 << walks[-1].bits
+            plateau = sum(occ == one for _, occ, _ in walks[-1].points)
             # the Fermi sea is deep enough for a plateau only at the two
             # largest edges
             assert (plateau > 0) == (alpha < -300)

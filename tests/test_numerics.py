@@ -227,20 +227,22 @@ class TestQuadSemiInfinite:
 def _walk_in_mpf(lattice, eta, alpha, terms, weight, prec):
     """The four sums of :func:`fixed_point_walk` over its first ``terms``
     points, in mpf at ``prec`` bits: u = e^(-x) stepped by ratios formed at
-    that precision, N = u/(1 - eta u), D = N (1 + eta N), e = y^2."""
+    that precision, N = u/(1 - eta u), D = N (1 + eta N), e = y^2; and per
+    point, keyed by 4e, D and D (1 + 2 eta N)."""
     with mp.workprec(prec):
         b, y0, m = mpf(lattice.b), mpf(lattice.y0), mpf(lattice.m)
         u = mp.exp(-(alpha + b * y0 ** 2))
         ratio, shrink = mp.exp(-b * m * (2 * y0 + m)), mp.exp(-2 * b * m * m)
-        sums = [mpf(0)] * 4
+        sums, points = [mpf(0)] * 4, {}
         for j in range(terms):
             e = (y0 + m * j) ** 2
             occ = u / (1 - eta * u)
             docc = occ * (1 + eta * occ)
             for k, v in enumerate((occ, docc, e * occ, e * docc)):
                 sums[k] += weight * v
+            points[int(4 * e)] = docc, docc * (1 + 2 * eta * occ)
             u, ratio = u * ratio, ratio * shrink
-        return sums
+        return sums, points
 
 
 class TestFixedPointWalk:
@@ -254,13 +256,23 @@ class TestFixedPointWalk:
             b, y0, alpha, eps = mpf(b), mpf(y0), mpf(alpha), mpf(eps)
             lattice = FixedPointLattice(b, y0, m)
             walk = fixed_point_walk(lattice, eta, alpha, eps / m, eps / 4 / m,
-                                    lambda j, u, u_next: True, m, True)
-            exact = _walk_in_mpf(lattice, eta, alpha, walk.terms, m, 3 * walk.bits)
+                                    lambda j, u, u_next: True, m, True, True)
+            exact, points = _walk_in_mpf(lattice, eta, alpha, walk.terms, m, 3 * walk.bits)
             with mp.workprec(3 * walk.bits):
                 for value, rounding, ref in zip(walk.scaled(walk.totals),
                                                 walk.scaled(walk.bounds), exact):
                     assert rounding > 0
                     assert abs(value - ref) <= rounding
+                # every point, the plateau included, is recorded within the
+                # per-point bounds that the moment sums charge
+                assert sorted(e4 for e4, _, _ in walk.points) == sorted(points)
+                d_err, d2_err = walk.scaled(walk.per_point)
+                one = 1 << walk.bits
+                for e4, occ, docc in walk.points:
+                    d = mp.ldexp(docc, -walk.bits)
+                    d2 = mp.ldexp(docc * (one + 2 * eta * occ), -2 * walk.bits)
+                    assert abs(d - points[e4][0]) <= d_err
+                    assert abs(d2 - points[e4][1]) <= d2_err
             return walk
 
     @settings(max_examples=25, deadline=None)

@@ -418,6 +418,15 @@ class TestSharpStepCertificate:
                 n += 1
             assert 0 < abs(total - N) <= sol.residual_bound
 
+    @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
+    def test_unresolvable_step_raises(self, side):
+        # fermion N=3 at t=1e-320: the residual, near e^(-3.5e320) (minus
+        # side), lies below every scale a level walk may take, so no bound
+        # is claimed.  Read on a working-precision sum, the filled levels
+        # gave a bound of 7.9e-(5.4e320) against a true 1.7e-(1.5e320)
+        with pytest.raises(PrecisionExhausted):
+            solve_alpha(FERMION, side, 3, mpf(1e-320))
+
 
 class TestRootCounters:
     """Constraint solves pinned in work per side, minus side then plus side:
@@ -515,14 +524,15 @@ class TestRootCounters:
         # on the flank of the Fermi step, where Newton crawled by about one
         # unit of alpha per step (96 evaluations per side); steps that stop
         # shrinking now bisect.  The root lies midway between the first two
-        # levels' x = 0, at -b (y_1^2 + y_2^2)/2, and is found there: a
-        # number sum rounded to working precision read 1 - e^(-120) as 1,
-        # and stopped the minus side after 9 evaluations at alpha = -220.5
+        # levels' x = 0, at -b (y_1^2 + y_2^2)/2, and is found there.  A
+        # number sum rounded to working precision read 1 - 4.7e-53 as 1 and
+        # stopped the minus side after 9 evaluations at alpha = -220.5, 30
+        # units from the root; summed exactly, the sides take 24 and 18
         policy = DEFAULT_POLICY
         with mp.workdps(policy.dps):
             b = 1 / mpf("0.01")
             eps = oracle._sum_target(policy, b)
-            for side in (W_MINUS, W_PLUS):
+            for side, evaluations in ((W_MINUS, 24), (W_PLUS, 18)):
                 table = oracle._LevelTable(FERMION, side, b, eps)
                 lo, _ = oracle._closed_form_ends(FERMION, side, 1, table)
 
@@ -536,7 +546,7 @@ class TestRootCounters:
                 tau = as_mpf(side.tau)
                 assert abs(res.root + b * ((1 - tau) ** 2 + (2 - tau) ** 2) / 2) < mpf("1e-8")
                 assert abs(res.residual) <= policy.target_abs_error
-                assert res.evaluations <= 24
+                assert res.evaluations == evaluations
 
 
 class TestLatticeWalks:
@@ -874,6 +884,15 @@ class TestTemperatureDerivatives:
             force_side(FERMION, W_PLUS, 3, mpf("1.1"))
         with pytest.raises(ValueError):
             net_force(FERMION, 3, 1, derivatives=2)
+
+    def test_condensate_bounds_set_by_the_excited_levels(self):
+        # boson N=8 at t=0.01: about the first level, which holds nearly
+        # every particle, the moments are those of the excited levels at
+        # e^(-300) of its weight; their rounding must lie below them
+        point = net_force(BOSON, 8, mpf("0.01"), derivatives=True)
+        assert abs(point.d_delta_f_dt) > mpf("1e-90")
+        assert point.d_delta_f_dt_error < mpf("1e-112")
+        assert point.d2_delta_f_dt2_error < mpf("1e-106")
 
     @pytest.mark.parametrize("stat,side,N,t,target,dps", [
         (FERMION, W_MINUS, 3, "1.1", 1e-12, 70),
