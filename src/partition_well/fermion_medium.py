@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .numerics import DEFAULT_POLICY, FixedPointLattice, PrecisionExhausted, \
-    PrecisionPolicy, find_root_bracketed, fixed_point_walk, gaussian_tail_upper_bound, \
+    PrecisionPolicy, find_root_bracketed, fixed_point_walk, gaussian_tail_factor, \
     pad_outward, \
     quad_semi_infinite  # noqa: F401 -- unused; perfbench's tracer wraps it here
 
@@ -111,27 +111,29 @@ def _fermi_lattice(alpha: mpf, target: mpf) -> mpf:
     return 2 * mp.pi * a / mp.log1p(4 * m_prime / target)
 
 
-def _pair_target(alpha: mpf, policy: PrecisionPolicy) -> mpf:
+def _pair_target(ealpha: mpf, policy: PrecisionPolicy) -> mpf:
     # eps = min(target_abs_error, 10^(-working_digits)) times the lower bound
     # I >= (sqrt(pi)/2)/(e^alpha + 1) of fermi_integral_ends, so the pair keeps
     # eps relative however small I gets (|I'| >= I/2 for alpha > 0)
-    ealpha = mp.exp(-alpha)
     eps = min(mpf(policy.target_abs_error), mpf(10) ** -policy.working_digits)
     return eps * mp.sqrt(mp.pi) / 2 * ealpha / (1 + ealpha)
 
 
 def _trapezoid_pair(alpha: mpf, policy: PrecisionPolicy):
     """(I, I') = h (s(0)/2 + sum_(j>=1) s(j h)) and the same of -s (1 - s), to
-    :func:`_pair_target`: the aliasing of :func:`_fermi_lattice`, the cut,
-    after which s (1 - s) <= s < e^(-alpha - y^2) sum to <= e^(-alpha) times
-    the Gaussian tail from y, and the rounding of the walk of
+    :func:`_pair_target` of e^(-alpha), formed once: the aliasing of
+    :func:`_fermi_lattice`, the cut, and the rounding of the walk of
     :func:`~.numerics.fixed_point_walk` (which counts the deep Fermi sea as
-    a plateau) take 5/8 of it."""
-    target, ealpha = _pair_target(alpha, policy), mp.exp(-alpha)
+    a plateau) take 5/8 of it.  After the point y the walk's bound u on
+    e^(-alpha - y^2) is certified at, s (1 - s) <= s < e^(-alpha - v^2) sum
+    to at most u times :func:`~.numerics.gaussian_tail_factor` of y; the
+    cut is where that is below a quarter of the target."""
+    ealpha = mp.exp(-alpha)
+    target = _pair_target(ealpha, policy)
     h = _fermi_lattice(alpha, target)
 
     def cut(j, u, u_next):
-        return ealpha * gaussian_tail_upper_bound((j + 1) * h) <= target / 4
+        return u * gaussian_tail_factor((j + 1) * h) <= target / 4
 
     walk = fixed_point_walk(FixedPointLattice(mpf(1), h, h), -1, alpha, target / h,
                             target, cut)

@@ -8,8 +8,9 @@ here supply the rest:
 * :func:`find_root_bracketed` - deterministic bracketed root finder:
   safeguarded Newton, with the function's derivative when it returns one
   and a secant slope otherwise.
-* :func:`gaussian_tail_upper_bound` - closed upper bound for the Gaussian
-  tail integral, used wherever a dropped sum or integral tail is bounded.
+* :func:`gaussian_tail_factor` - the factor that bounds the Gaussian tail
+  integral from y by e^(-y^2); each caller supplies the exponential it
+  already holds.
 * :func:`pad_outward` - the one padding rule of closed-form bracket ends.
 * :func:`fixed_point_walk` - the one loop of every level sum: occupancies
   1/(e^x - eta) at the points of a :class:`FixedPointLattice`, in integers
@@ -42,7 +43,7 @@ __all__ = [
     "NonConvergent",
     "PrecisionExhausted",
     "find_root_bracketed",
-    "gaussian_tail_upper_bound",
+    "gaussian_tail_factor",
     "pad_outward",
     "FixedPointLattice",
     "FixedPointSums",
@@ -222,17 +223,17 @@ def find_root_bracketed(func: Callable, lo, hi,
             f"{policy.max_iterations} evaluations (best residual {mp.nstr(fx, 6)})")
 
 
-def gaussian_tail_upper_bound(y_trunc) -> mpf:
-    """Certified upper bound on the tail integral of exp(-y^2) from ``y_trunc``.
+def gaussian_tail_factor(y) -> mpf:
+    """min(sqrt(pi)/2, 1/(2 y)): e^(-y^2) times it bounds the tail integral
+    of exp(-s^2) from y > 0.
 
-    Uses min(sqrt(pi)/2, 1/(2 y)) * exp(-y^2); both factors are rigorous upper
-    bounds, the second is within a factor (1 - 1/(2 y^2))^{-1} of the true
-    tail for large y.
+    Both factors are rigorous; the second is within a factor (1 - 1/(2
+    y^2))^{-1} of the true tail for large y.
     """
-    y = mpf(y_trunc)
+    y = mpf(y)
     if not y > 0:
-        raise ValueError("y_trunc must be positive")
-    return mp.exp(-y * y) * min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
+        raise ValueError("y must be positive")
+    return min(mp.sqrt(mp.pi) / 2, 1 / (2 * y))
 
 
 def pad_outward(lo: mpf, hi: mpf) -> tuple:

@@ -34,7 +34,8 @@ units of the working precision: with a single occupied level the bound is
 tight.  No end is found by evaluating the constraint.
 
 Every level sum runs one strided walk over points y_j = y_0 + m j with
-weight m, the fixed-point kernel :func:`~.numerics.fixed_point_walk`.  Stride m = 1 with y_0 = 1 - tau sums every level y = n - tau.
+weight m, the fixed-point kernel :func:`~.numerics.fixed_point_walk`.
+Stride m = 1 with y_0 = 1 - tau sums every level y = n - tau.
 Where alpha > 0, f(y) = 1/(e^(alpha + b y^2) - eta) is analytic in a strip
 around the real axis, and by Poisson summation m times the sum over every
 m-th point of mZ, plus the closed term (m - sigma) f(0)/2, equals the level
@@ -44,23 +45,27 @@ points replace thousands of levels.  alpha <= 0 keeps m = 1.
 
 Within one solve b is fixed and only alpha changes, so each solve builds a
 level table (:class:`_LevelTable`) that the bracket ends, every Newton step
-and the final evaluation read from.  It holds Theta_0(b) with its error,
-the strip of :func:`_strip` at the last alpha asked, and, formed on first
-use and extended in chunks, per stride the ratios of successive point
-weights e^(-b y_j^2) as integers (Theta_0 walks those of stride 1) and the
-Gaussian tail bound after each point.  A level sum at a new alpha then costs
-two or three exponentials and, per point, a few integer operations on one
-binary scale: u = e^(-x) steps outward from the Fermi edge by the ratios,
-the holes e^x step inward from it, and every floor and shift is counted
-into a rounding bound that each tail adds.  At stride 1 the number sum is
-unrounded, so that the residual |sum - N| of a sharp Fermi step, of order
-e^(-x) at the edge, is resolved.  The table is dropped when the solve
-returns; nothing is cached across solves.
+and the final evaluation read from.  It owns the alpha-independent terms:
+Theta_0(b) with its error, the strip of :func:`_strip` at the last alpha
+asked, per stride the ratios of successive point weights e^(-b y_j^2) as
+integers (Theta_0 walks those of stride 1), formed on first use and
+extended in chunks, and, per cut point, z, e^(-z^2) and the Gaussian tail
+bound formed from it.  A level sum at a new alpha then costs e^(-alpha),
+the one or two exponentials that start the walk at the Fermi edge, and,
+per point, a few integer operations on one binary scale: u = e^(-x) steps
+outward from the Fermi edge by the ratios, the holes e^x step inward from
+it, and every floor and shift is counted into a rounding bound that each
+tail adds.  At stride 1 the number sum is unrounded, so that the residual
+|sum - N| of a sharp Fermi step, of order e^(-x) at the edge, is resolved.
+The final pass hands e^(-alpha) and its dnumber aliasing on with its sums.
+The table is dropped when the solve returns; nothing is cached across
+solves.
 
 Asked for ``derivatives``, a solve adds df/dt and d^2f/dt^2 of its side,
-each with a certified bound, from the points that the final evaluation
-recorded, with no second walk.  Along the constraint sum_n N_n = N, with
-D = N (1 + eta N) = -n'(x) and n'' = D (1 + 2 eta N), d alpha/d b =
+each with a certified bound, from the points, cut, e^(-alpha) and aliasing
+that the final evaluation recorded, with no second walk; only the first
+level's occupancy is evaluated anew.  Along the constraint sum_n N_n = N,
+with D = N (1 + eta N) = -n'(x) and n'' = D (1 + 2 eta N), d alpha/d b =
 -S_1/S_0 (S_k = sum e^k D, so S_0 = -dnumber and S_1 = -dforce of the
 final level-sum pass), and the derivatives of f = sum e_n N_n in t = 1/b
 are moments of the level energies under the weight D:
@@ -95,7 +100,7 @@ from .numerics import (
     PrecisionPolicy,
     find_root_bracketed,
     fixed_point_walk,
-    gaussian_tail_upper_bound,
+    gaussian_tail_factor,
     pad_outward,
 )
 
@@ -209,17 +214,19 @@ class _LevelSums(NamedTuple):
     terms: int           # points summed
     stride: int
     walk: tuple          # the FixedPointSums of the walk, for the moment sums
-    cut: tuple           # (j, y_j, u_(j+1)) of the last summed point
+    cut: tuple           # (y_j, u_(j+1)) of the last summed point
+    ealpha: mpf          # e^(-alpha)
+    alias_dnumber: mpf   # the dnumber aliasing within tail_dnumber (0 at m = 1)
 
 
-def _theta0(lattice: _Lattice, sigma: int, eps: mpf):
+def _theta0(lattice: FixedPointLattice, w1: mpf, sigma: int, eps: mpf):
     """sum_{n>=1} exp(-beta e_n) with certified error below eps, beta = b of
-    the stride-1 ``lattice``; from beta = 1.5 on, walked over its points as
-    w_1 times the sum of e^(-beta (e_n - e_1)) <= 1: a ratio table shared
-    with the level sums, and no deep scale however small w_1 is."""
+    the stride-1 ``lattice`` and w1 = e^(-beta e_1); from beta = 1.5 on,
+    walked over its points as w_1 times the sum of e^(-beta (e_n - e_1)) <= 1:
+    a ratio table shared with the level sums, and no deep scale however
+    small w_1 is."""
     beta = lattice.b
     if beta >= _THETA_POISSON_MAX_BETA:
-        w1 = mp.exp(-lattice.b_y0)
         # level spacing grows, so every ratio is at most the first
         shortfall = -mp.expm1(-beta * (2 * lattice.y0 + 1))
         rel = eps / w1
@@ -228,7 +235,7 @@ def _theta0(lattice: _Lattice, sigma: int, eps: mpf):
             tail = u_next / shortfall
             return tail < rel and (tail,)
 
-        walk = fixed_point_walk(lattice, 0, -lattice.b_y0, rel, mpf(2), cut)
+        walk = fixed_point_walk(lattice, 0, -beta * lattice.y0 ** 2, rel, mpf(2), cut)
         (total, _), (rounding, _) = walk.scaled(walk.totals[:2]), walk.scaled(walk.bounds[:2])
         return w1 * total, w1 * (walk.cut[0] + rounding)
     pref = mp.sqrt(mp.pi / (4 * beta))
@@ -261,36 +268,18 @@ def _strip(alpha, b):
     return a, mp.sqrt(mp.pi / b) * mp.exp(-delta) / shortfall, shortfall, 1 / (2 * b) + a * a
 
 
-class _Lattice(FixedPointLattice):
-    """Points y_j = y_0 + m j (j >= 0) of stride m, with the integer ratio
-    table of :class:`~.numerics.FixedPointLattice`, and the Gaussian tail
-    terms after each point."""
-
-    def __init__(self, b: mpf, sqrt_b: mpf, y0: mpf, m: int):
-        super().__init__(b, y0, m)
-        self.b_y0, self._sqrt_b = b * y0 ** 2, sqrt_b
-        self._gauss = {}
-
-    def gauss(self, j: int) -> tuple:
-        """(z, e^(-z^2), G_0) at z = sqrt(b) y_(j+1), G_0 an upper bound on
-        the tail integral of e^(-s^2) from z."""
-        if j not in self._gauss:
-            z = self._sqrt_b * (self.y0 + self.m * (j + 1))
-            self._gauss[j] = z, mp.exp(-z * z), gaussian_tail_upper_bound(z)
-        return self._gauss[j]
-
-
 class _LevelTable:
     """The alpha-independent parts of the level sums of one constraint solve.
 
     Built from (stat, side, b, eps), extended lazily, and dropped with the
     solve.  It holds Theta_0(b) for the closed-form bracket ends, summed to
-    10^(-dps) w_1 (w_1 = e^(-b e_1), the weight of the first level), and one
-    :class:`_Lattice` per stride used: the levels y = n - tau for m = 1,
-    the points y = m, 2m, ... for m >= 2, whose integer ratios are formed on
-    the first walk.  A level sum at alpha then costs e^(-alpha), the
-    exponentials that start the walk at the Fermi edge, and integer
-    operations.
+    10^(-dps) w_1 (w_1 = e^(-b e_1), the weight of the first level), one
+    :class:`~.numerics.FixedPointLattice` per stride used (the levels
+    y = n - tau for m = 1, the points y = m, 2m, ... for m >= 2, whose
+    integer ratios are formed on the first walk), and the Gaussian terms of
+    :meth:`gauss` at every cut point asked.  A level sum at alpha then costs
+    e^(-alpha), the exponentials that start the walk at the Fermi edge, and
+    integer operations.
     """
 
     def __init__(self, stat: Statistics, side: WellSide, b: mpf, eps: mpf):
@@ -299,20 +288,29 @@ class _LevelTable:
         self.sqrt_b = mp.sqrt(b)
         self.w1 = mp.exp(-b * (1 - tau) ** 2)
         self._log_b, self._log_eps = float(mp.log(b)), float(mp.log(eps))
-        self._lattices = {}
+        self._lattices, self._gauss = {}, {}
         self._theta0 = None
         self._last_strip = None, None  # (alpha, _strip(alpha, b))
 
-    def lattice(self, m: int) -> _Lattice:
+    def lattice(self, m: int) -> FixedPointLattice:
         if m not in self._lattices:
-            y0 = 1 - self.tau if m == 1 else mpf(m)
-            self._lattices[m] = _Lattice(self.b, self.sqrt_b, y0, m)
+            self._lattices[m] = FixedPointLattice(self.b, 1 - self.tau if m == 1 else mpf(m), m)
         return self._lattices[m]
+
+    def gauss(self, y: mpf) -> tuple:
+        """(z, e^(-z^2), G_0) at z = sqrt(b) y, G_0 = e^(-z^2) times
+        :func:`~.numerics.gaussian_tail_factor`, an upper bound on the tail
+        integral of e^(-s^2) from z."""
+        if y not in self._gauss:
+            z = self.sqrt_b * y
+            ez = mp.exp(-z * z)
+            self._gauss[y] = z, ez, ez * gaussian_tail_factor(z)
+        return self._gauss[y]
 
     def theta0(self) -> tuple:
         """(Theta_0(b), its certified error)."""
         if self._theta0 is None:
-            self._theta0 = _theta0(self.lattice(1), self.sigma,
+            self._theta0 = _theta0(self.lattice(1), self.w1, self.sigma,
                                    self.w1 * mpf(10) ** (-mp.dps))
         return self._theta0
 
@@ -377,24 +375,26 @@ class _LevelTable:
         return bound * g, dbound * g, bound * weight * g, dbound * weight * g
 
 
-def power_tails(table: _LevelTable, lattice: _Lattice, ealpha: mpf, j: int,
-                y: mpf, u_next: mpf, k_max: int) -> list:
+def power_tails(table: _LevelTable, ealpha: mpf, m: int, y: mpf, u_next: mpf,
+                k_max: int) -> list:
     """[R_0, ..., R_k_max]: bounds on the sums of m e^k 2 e^(-x) over the
-    points after y_j, for a cut where x >= ln 2 (N <= 2 e^(-x)).  R_0 and
-    R_1 bound the number and force tails, R_2 to R_4 the moment tails of
+    points of stride ``m`` after ``y``, for a cut where x >= ln 2 (N <= 2
+    e^(-x)), with u_next >= e^(-x) at the next point y + m.  R_0 and R_1
+    bound the number and force tails, R_2 to R_4 the moment tails of
     :func:`moment_sums`.
 
     y^(2k) e^(-b y^2) rises up to y^2 = k/b and falls beyond, so the sum over
-    points of spacing m from y_(j+1) on is at most m times its largest value
-    there plus its integral from y_(j+1): with z = sqrt(b) y_(j+1) that
-    integral is e^(-alpha) b^(-k-1/2) G_2k(z), G_0 the Gaussian tail and
-    G_2k(z) = z^(2k-1) e^(-z^2)/2 + (2k - 1)/2 G_2k-2(z).
+    points of spacing m from y + m on is at most m times its largest value
+    there plus its integral from y + m: with z = sqrt(b) (y + m) that
+    integral is e^(-alpha) b^(-k-1/2) G_2k(z), G_0 the Gaussian tail of
+    :meth:`_LevelTable.gauss` and G_2k(z) = z^(2k-1) e^(-z^2)/2 + (2k - 1)/2
+    G_2k-2(z).
     """
-    m, b, sqrt_b = lattice.m, table.b, table.sqrt_b
-    z, ez, g = lattice.gauss(j)
+    b, sqrt_b, y_next = table.b, table.sqrt_b, y + m
+    z, ez, g = table.gauss(y_next)
     # k = 0 peaks at the first dropped point
     tails = [2 * (m * u_next + ealpha / sqrt_b * g)]
-    e_next = (y + m) ** 2
+    e_next = y_next ** 2
     e_k, b_k = 1, sqrt_b  # e_next^k and b^(k + 1/2)
     for k in range(1, k_max + 1):
         g = z ** (2 * k - 1) * ez / 2 + mpf(2 * k - 1) / 2 * g
@@ -402,21 +402,6 @@ def power_tails(table: _LevelTable, lattice: _Lattice, ealpha: mpf, j: int,
         peak = m * e_k * u_next if b * e_next >= k else m * (k / (b * mp.e)) ** k * ealpha
         tails.append(2 * (peak + ealpha / b_k * g))
     return tails
-
-
-def _cut(table: _LevelTable, lattice: _Lattice, alpha: mpf, ealpha: mpf, j: int,
-         y: mpf, en: mpf, u: mpf, u_next: mpf, eps: mpf):
-    """(number tail, force tail) of the points after y_j once both are below
-    ``eps``, else None: R_0 and R_1 of :func:`power_tails`, where b y^2 >= 2
-    and x >= 1.  The alpha-derivatives have twice these tails."""
-    b = table.b
-    # cheap prechecks before the closed-form bounds: R_1 exceeds its
-    # integral part, (y + m) u_(j+1)/b, which u_next bounds within half
-    if not (lattice.m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2
-            and u_next * (y + lattice.m) < 2 * eps * b):
-        return None
-    tail_n, tail_f = power_tails(table, lattice, ealpha, j, y, u_next, 1)
-    return (tail_n, tail_f) if tail_n < eps and tail_f < eps else None
 
 
 def _origin_terms(table: _LevelTable, ealpha: mpf, m: int) -> tuple:
@@ -428,12 +413,14 @@ def _origin_terms(table: _LevelTable, ealpha: mpf, m: int) -> tuple:
 
 
 def _walk(table: _LevelTable, alpha: mpf, m: int, full: bool = True):
-    """:func:`~.numerics.fixed_point_walk` over the points of stride ``m``
-    to the cut of :func:`_cut`, whose tails and (j, y_j, u_(j+1)) it keeps,
-    and e^(-alpha).  A full walk records its points for :func:`moment_sums`;
-    a number walk (``full`` unset) at m = 1 stops on the number tail R_0 of
-    :func:`power_tails` alone."""
-    lattice = table.lattice(m)
+    """:func:`~.numerics.fixed_point_walk` over the points of stride ``m``,
+    and e^(-alpha).  The walk's cut is where b y^2 >= 2, x >= 1 and R_0 and
+    R_1 of :func:`power_tails`, the number and force tails (the
+    alpha-derivatives have twice these), are both below the target; it
+    keeps them and (y_j, u_(j+1)).  A full walk records its points for
+    :func:`moment_sums`; a number walk (``full`` unset) at m = 1 stops on
+    R_0 alone."""
+    lattice, b = table.lattice(m), table.b
     # stride m >= 2 leaves half the target to the aliasing
     eps = table.eps if m == 1 else table.eps / 2
     ealpha = mp.exp(-alpha)
@@ -441,11 +428,16 @@ def _walk(table: _LevelTable, alpha: mpf, m: int, full: bool = True):
 
     def cut(j, u, u_next):
         y = lattice.y0 + m * j
+        en = y * y
         if not weighted:
-            return alpha + table.b * (y * y) >= 1 and \
-                power_tails(table, lattice, ealpha, j, y, u_next, 0)[0] < eps
-        tails = _cut(table, lattice, alpha, ealpha, j, y, y * y, u, u_next, eps)
-        return tails and (tails, (j, y, u_next))
+            return alpha + b * en >= 1 and power_tails(table, ealpha, m, y, u_next, 0)[0] < eps
+        # cheap prechecks before the closed-form bounds: R_1 exceeds its
+        # integral part, (y + m) u_(j+1)/b, which u_next bounds within half
+        if not (m * u * (en + 1) * 4 < eps and alpha + b * en >= 1 and b * en >= 2
+                and u_next * (y + m) < 2 * eps * b):
+            return None
+        tail_n, tail_f = power_tails(table, ealpha, m, y, u_next, 1)
+        return tail_n < eps and tail_f < eps and ((tail_n, tail_f), (y, u_next))
 
     # u < eps/(4 m), or where weighted 4 m u (e + 1) < eps, is a necessary
     # condition of either cut
@@ -476,8 +468,9 @@ def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
     alpha-independent work of the solve from call to call.  m = 1 sums
     every level y = n - tau.  m >= 2 sums m F(y) at y = m, 2m, ... and adds
     (m - sigma) F(0)/2; its tails add :meth:`_LevelTable.aliasing` to the
-    truncation bounds of :func:`_cut`, which take half the target.  Every
-    tail adds the walk's counted rounding.
+    truncation bounds of the cut of :func:`_walk`, which take half the
+    target.  Every tail adds the walk's counted rounding.  The sums carry
+    e^(-alpha) and the dnumber aliasing on to the moment sums.
     """
     if m is None:
         m = table.stride(alpha)
@@ -495,7 +488,7 @@ def _level_sums(table: _LevelTable, alpha: mpf, m: int = None) -> _LevelSums:
     return _LevelSums(number, dnumber, s_f, -s_df,
                       tail_n + a_n + r_n, 2 * tail_n + a_dn + r_dn,
                       tail_f + a_f + r_f, 2 * tail_f + a_df + r_df,
-                      walk.terms, m, walk, cut)
+                      walk.terms, m, walk, cut, ealpha, a_dn)
 
 
 def gauss_moment_factor(k: int, s: mpf, b: mpf) -> mpf:
@@ -531,7 +524,8 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
 
     Tails: beyond the cut x >= 1, so D <= 2 N and |n''| <= 3 D, and
     |w|^k <= (e + |c|)^k; :func:`power_tails` at the recorded cut then
-    bounds them.  Aliasing at m >= 2, from :meth:`_LevelTable.strip`:
+    bounds them.  Aliasing at m >= 2, from the dnumber aliasing of ``sums``
+    and :meth:`_LevelTable.strip`:
     |y^2 - c| <= x^2 + a^2 + |c|, |n'| <= e^(-Re x)/(1 - e^(-delta))^2 and
     |n''| <= 2 e^(-Re x)/(1 - e^(-delta))^3, so each integrates to M times
     the moment factor of :func:`gauss_moment_factor` at s = a^2 + |c|,
@@ -561,8 +555,8 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
     c2 = mp.ldexp(s2, -bits - 2 * (k + 2))
     c4 = mp.ldexp(s4, -bits - 4 * (k + 2))
     b3 = mp.ldexp(s3, -2 * bits - 3 * (k + 2))
-    ealpha = mp.exp(-alpha)
-    r = power_tails(table, table.lattice(m), ealpha, *sums.cut, 4)
+    ealpha = sums.ealpha
+    r = power_tails(table, ealpha, m, *sums.cut, 4)
     # tails of sum m (e + |c|)^k 2 e^(-x), k = 2..4
     p = {k: sum(math.comb(k, i) * abs(c) ** (k - i) * r[i] for i in range(k + 1))
          for k in (2, 3, 4)}
@@ -582,7 +576,7 @@ def moment_sums(table: _LevelTable, alpha: mpf, sums: _LevelSums) -> Moments:
     c4 = half * c ** 4 * docc + m * c4
     b3 = -half * c ** 3 * d2occ + m * b3
     # the dnumber aliasing bound is that of D; n'' has 2/(1 - e^(-delta)) more
-    d_alias = table.aliasing(alpha, m)[1]
+    d_alias = sums.alias_dnumber
     a, _, shortfall, _ = table.strip(alpha)
     d2_alias = 2 * d_alias / shortfall
     spread = a * a + abs(c)
@@ -784,7 +778,7 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
         alpha_error = residual / slope
         sol = OccupancySolution(
             alpha=root,
-            q_fugacity=mp.exp(-root),
+            q_fugacity=sums.ealpha,
             alpha_error=alpha_error,
             n_trunc=sums.terms,
             digits_used=policy.working_digits,

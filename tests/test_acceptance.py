@@ -22,7 +22,7 @@ from partition_well.fermion_medium import force_kernel_minimum, tanh_surrogate_q
 from partition_well.hightemp import net_force_asymptote
 from partition_well.lowtemp import step_inflection_points
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
-from partition_well.numerics import DEFAULT_POLICY
+from partition_well.numerics import DEFAULT_POLICY, FixedPointLattice
 from partition_well.oracle import (
     locate_inflections,
     locate_minimum,
@@ -312,8 +312,8 @@ def test_criterion_11_tail_bound_soundness():
             else:  # Poisson branch
                 beta = mpf(10) ** rng.uniform(mp.log10(0.004), mp.log10(1.5))
                 beta = min(beta, mpf(1.5) - mpf("1e-3"))
-            lattice = oracle._Lattice(beta, mp.sqrt(beta), 1 - tau, 1)
-            value, err = oracle._theta0(lattice, side.sigma, eps)
+            lattice = FixedPointLattice(beta, 1 - tau, 1)
+            value, err = oracle._theta0(lattice, mp.exp(-beta * (1 - tau) ** 2), side.sigma, eps)
             assert _within_tail(value, err, _direct_sums(0, tau, 0, beta)[0]), \
                 f"theta pair {i}: Theta_0(beta={mp.nstr(beta, 6)}) beyond its error"
     check("11", "certified level sums and Theta_0 contain the 70-digit sums",

@@ -188,7 +188,7 @@ PAIR_TARGETS = pytest.mark.parametrize("target", [1e-12, 1e-100])
 
 
 def _sum_target(alpha, target):
-    return fermion_medium._pair_target(alpha, PrecisionPolicy(target_abs_error=target))
+    return fermion_medium._pair_target(mp.exp(-alpha), PrecisionPolicy(target_abs_error=target))
 
 
 class TestPairCut:
@@ -217,15 +217,17 @@ class TestPairCut:
     @pytest.mark.parametrize("target", [1e-12, 1e-100], ids=["1e-12-12", "1e-100-18"])
     @PAIR_ALPHAS
     def test_envelope_and_cut_tail(self, alpha, target, monkeypatch):
-        cuts = []
-        tail = fermion_medium.gaussian_tail_upper_bound
-        monkeypatch.setattr(fermion_medium, "gaussian_tail_upper_bound",
-                            lambda y: cuts.append(y) or tail(y))
+        walks = []
+        walk = fermion_medium.fixed_point_walk
+        monkeypatch.setattr(fermion_medium, "fixed_point_walk", lambda lattice, *args:
+                            walks.append((lattice.m, walk(lattice, *args))) or walks[-1][1])
         with mp.workdps(DEFAULT_POLICY.dps):
             alpha = mpf(alpha)
             eps = _sum_target(alpha, target)
             fermi_integral(alpha, policy=PrecisionPolicy(target_abs_error=target))
-            y = cuts[-1]
+            # the last summed point: y_j = (j + 1) h, and the walk sums j + 1
+            h, last = walks[-1]
+            y = last.terms * h
             # s (1 - s) <= s decreases, so the points after y sum to at most
             # the integral of s from y
             assert mp.quad(lambda v: _occupancy(alpha, v), [y, y + 1, mp.inf]) <= eps / 4

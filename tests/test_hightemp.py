@@ -3,10 +3,17 @@ from mpmath import mp, mpf
 
 from partition_well.hightemp import fugacity_expansion, net_force_asymptote
 from partition_well.model import BOSON, FERMION, W_MINUS, W_PLUS, as_mpf
-from partition_well.numerics import DEFAULT_POLICY
-from partition_well.oracle import _Lattice, _theta0, net_force, solve_alpha
+from partition_well.numerics import DEFAULT_POLICY, FixedPointLattice
+from partition_well.oracle import _theta0, net_force, solve_alpha
 
 EPS = mpf("1e-30")
+
+
+def theta0(b, side):
+    """Theta_0(b) of ``side`` to EPS, from the stride-1 lattice and w_1 as
+    the level table passes them."""
+    y0 = 1 - as_mpf(side.tau)
+    return _theta0(FixedPointLattice(b, y0, 1), mp.exp(-b * y0 ** 2), side.sigma, EPS)
 
 
 class TestThetaLevelSum:
@@ -20,8 +27,7 @@ class TestThetaLevelSum:
         with mp.workdps(DEFAULT_POLICY.dps):
             b = mpf("0.37")
             lead = mp.sqrt(mp.pi / (4 * b))
-            theta, err = _theta0(
-                _Lattice(b, mp.sqrt(b), 1 - as_mpf(W_PLUS.tau), 1), W_PLUS.sigma, EPS)
+            theta, err = theta0(b, W_PLUS)
             first_image = -2 * lead * mp.exp(-mp.pi ** 2 / b)
             assert abs(theta - lead - first_image) <= err + abs(first_image) * mpf("1e-6")
 
@@ -31,14 +37,13 @@ class TestThetaLevelSum:
             for side in (W_MINUS, W_PLUS):
                 tau = as_mpf(side.tau)
                 brute = mp.fsum(mp.exp(-b * (n - tau) ** 2) for n in range(1, 40))
-                theta, err = _theta0(_Lattice(b, mp.sqrt(b), 1 - tau, 1), side.sigma, EPS)
+                theta, err = theta0(b, side)
                 assert abs(theta - brute) <= err + mpf("1e-38")
 
     def test_images_negligible_at_small_b(self):
         with mp.workdps(DEFAULT_POLICY.dps):
             b = mpf("0.01")
-            theta, _ = _theta0(
-                _Lattice(b, mp.sqrt(b), 1 - as_mpf(W_MINUS.tau), 1), W_MINUS.sigma, EPS)
+            theta, _ = theta0(b, W_MINUS)
             without = mp.sqrt(mp.pi / (4 * b)) - mpf(1) / 2
             assert abs(theta - without) / theta < mpf("1e-35")
 

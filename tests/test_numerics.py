@@ -14,7 +14,7 @@ from partition_well.numerics import (
     FixedPointLattice,
     find_root_bracketed,
     fixed_point_walk,
-    gaussian_tail_upper_bound,
+    gaussian_tail_factor,
     quad_semi_infinite,
 )
 
@@ -160,25 +160,30 @@ class TestRootFinderNewton:
 
 
 class TestGaussianTail:
+    @staticmethod
+    def bound(y):
+        y = mpf(y)
+        return mp.exp(-y * y) * gaussian_tail_factor(y)
+
     def test_upper_bound_and_tightness(self):
         true_tail = mp.sqrt(mp.pi) / 2 * mp.erfc(mpf(10))
-        bound = gaussian_tail_upper_bound(10)
+        bound = self.bound(10)
         assert true_tail <= bound <= 2 * true_tail
 
     def test_monotone_and_vanishing(self):
-        assert gaussian_tail_upper_bound(5) > gaussian_tail_upper_bound(6)
-        assert gaussian_tail_upper_bound(40) < mpf("1e-600")
+        assert self.bound(5) > self.bound(6)
+        assert self.bound(40) < mpf("1e-600")
         with pytest.raises(ValueError):
-            gaussian_tail_upper_bound(0)
+            gaussian_tail_factor(0)
 
     def test_small_argument_still_bounds(self):
         y = mpf("0.3")
         true_tail = mp.sqrt(mp.pi) / 2 * mp.erfc(y)
-        assert gaussian_tail_upper_bound(y) >= true_tail
+        assert self.bound(y) >= true_tail
 
 
 class TestQuadSemiInfinite:
-    # e^(-y^2) and 1/(e^(y^2) + 1) have tails below gaussian_tail_upper_bound(12)
+    # e^(-y^2) and 1/(e^(y^2) + 1) have tails below e^(-144) gaussian_tail_factor(12)
     # < 1e-64 beyond this cut, far below target/4
     GAUSSIAN_POINTS = [0, 1, 2, 4, 8, 12]
 

@@ -599,6 +599,27 @@ class TestLatticeWalks:
             counts.append(len(strips))
         assert counts[0] > 0 and counts[1] == counts[0]
 
+    @pytest.mark.parametrize("stat,N,t", [
+        (BOSON, 6, "3"), (FERMION, 3, "1.1"), (FERMION, 100, "4440"),
+        # strided, m >= 2
+        (BOSON, 30, "1e4"), (FERMION, 12, "3e4"), (BOSON, 8, "3e4"),
+    ])
+    def test_derivatives_evaluate_no_extra_exponential(self, monkeypatch, stat, N, t):
+        # the derivatives read e^(-alpha), the aliasing and the Gaussian
+        # terms of the final pass; only the first level's occupancy, once
+        # per side, is evaluated anew
+        calls = []
+        for name in ("exp", "expm1"):
+            function = getattr(mp, name)
+            monkeypatch.setattr(mp, name, lambda *args, f=function, **kwargs:
+                                calls.append(1) or f(*args, **kwargs))
+        counts = []
+        for flag in (False, True):
+            calls.clear()
+            net_force(stat, N, mpf(t), derivatives=flag)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[1] - counts[0] == 2
+
 
 class TestClosedFormEnds:
     """The closed-form bracket ends straddle the root as the solver sees the
