@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 
 from .model import Statistics, W_MINUS, W_PLUS
 from .numerics import DEFAULT_POLICY, PrecisionPolicy, find_root_bracketed
-from .lowtemp import zero_temperature_forces
+from .lowtemp import fermion_filled_forces, zero_temperature_forces
 from . import oracle
 
 __all__ = [
@@ -133,16 +133,6 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
         return ShiftResult(xi, (f_m / f_p) ** (mpf(1) / 3), t, "finite_t_solve")
 
 
-def _fermion_zero_t_force_plus(x: mpf) -> mpf:
-    """f_plus(0) = x(4x^2 - 1)/12 continued to real occupation numbers."""
-    return x * (4 * x * x - 1) / 12
-
-
-def _fermion_zero_t_force_minus(x: mpf) -> mpf:
-    """f_minus(0) = x(x + 1)(2x + 1)/6 continued to real occupation numbers."""
-    return x * (x + 1) * (2 * x + 1) / 6
-
-
 def transfer_zero_temperature(stat: Statistics, N: int) -> TransferSplit:
     """Particle split (N_plus, N_minus) that balances the forces at t = 0.
 
@@ -159,8 +149,7 @@ def transfer_zero_temperature(stat: Statistics, N: int) -> TransferSplit:
             return TransferSplit(mpf(8 * N) / 5, mpf(2 * N) / 5)
 
         def balance(n_plus):
-            return (_fermion_zero_t_force_minus(2 * N - n_plus)
-                    - _fermion_zero_t_force_plus(n_plus))
+            return fermion_filled_forces(2 * N - n_plus)[1] - fermion_filled_forces(n_plus)[0]
 
         res = find_root_bracketed(balance, mpf(N), mpf(2 * N) - mpf("0.5"),
                                   PrecisionPolicy(target_abs_error=1e-15,

@@ -21,6 +21,7 @@ from .numerics import DEFAULT_POLICY, find_root_bracketed
 __all__ = [
     "ZeroTemperatureForces",
     "zero_temperature_forces",
+    "fermion_filled_forces",
     "boson_two_level_net_force",
     "boson_alpha_low_temperature",
     "fermion_two_level_alpha",
@@ -43,20 +44,25 @@ class ZeroTemperatureForces:
     delta_f: Fraction
 
 
+def fermion_filled_forces(x) -> tuple:
+    """(f_plus, f_minus) of x filled fermion levels at t = 0: the sums over
+    the lowest x levels, x(4x^2 - 1)/12 and x(x + 1)(2x + 1)/6.  Exact on a
+    Fraction; an mpf x continues them to real occupation numbers."""
+    return x * (4 * x * x - 1) / 12, x * (x + 1) * (2 * x + 1) / 6
+
+
 def zero_temperature_forces(stat: Statistics, N: int) -> ZeroTemperatureForces:
     """Exact rational zero-temperature forces of both sides.
 
-    Bosons: N times the ground level, so f+ = N/4, f- = N.  Fermions: sums
-    over the lowest N levels, f+ = N(4N^2-1)/12 and f- = N(N+1)(2N+1)/6.
+    Bosons: N times the ground level, so f+ = N/4, f- = N.  Fermions: the
+    sums of :func:`fermion_filled_forces` over the lowest N levels.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ValueError("N must be a positive integer")
     if stat.is_boson:
-        f_plus = Fraction(N, 4)
-        f_minus = Fraction(N)
+        f_plus, f_minus = Fraction(N, 4), Fraction(N)
     else:
-        f_plus = Fraction(N * (4 * N * N - 1), 12)
-        f_minus = Fraction(N * (N + 1) * (2 * N + 1), 6)
+        f_plus, f_minus = fermion_filled_forces(Fraction(N))
     return ZeroTemperatureForces(stat, N, f_plus, f_minus, f_minus - f_plus)
 
 
@@ -125,8 +131,8 @@ def fermion_step_net_force(N: int, t, model: str = "semi_four_level") -> mpf:
         t = mpf(t)
         if not t > 0:
             raise ValueError("t must be positive")
-        df0 = as_mpf(Fraction(N * (2 * N + 1), 4))
-        return df0 + _step_correction(mpf(N) / t, model)
+        f_plus, f_minus = fermion_filled_forces(Fraction(N))
+        return as_mpf(f_minus - f_plus) + _step_correction(mpf(N) / t, model)
 
 
 def step_inflection_points(model: str = "semi_four_level", window=(mpf("0.1"), mpf("0.6"))):
