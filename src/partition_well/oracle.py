@@ -771,7 +771,10 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
         lo, hi = _closed_form_ends(stat, side, N, table)
         root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
         sums = _level_sums(table, root)
-        residual = abs(sums.number - N) + sums.tail_number
+        # |sum - N| exactly, then the tail added rounding upward: where the
+        # tail is far below the residual the bound is the residual itself
+        residual = mp.fadd(abs(mp.fsub(sums.number, N, exact=True)), sums.tail_number,
+                           rounding="u")
         slope = abs(sums.dnumber) - sums.tail_dnumber
         if not slope > 0:
             raise _SlopeLost("constraint derivative lost below its tail bound")

@@ -401,22 +401,39 @@ class TestSharpStepCertificate:
     2.1e-572 (N=12, minus side) and 7.7e-598 against 6.5e-204 (N=4, plus
     side)."""
 
-    @pytest.mark.parametrize("N,t", [(4, "0.0101774"), (12, "0.0100589")])
-    @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
-    def test_residual_bound_holds(self, N, t, side):
+    @staticmethod
+    def true_residual(stat, side, N, t, digits):
+        """The solution and |sum_n N_n - N| at ``digits``, summed until x
+        exceeds 2.3 ``digits``, at the solver's own b."""
         t = mpf(t)
-        sol = solve_alpha(FERMION, side, N, t)
+        sol = solve_alpha(stat, side, N, t)
         with mp.workdps(DEFAULT_POLICY.dps):
             b = 1 / t
-        with mp.workdps(3000):
+        with mp.workdps(digits):
             tau, total, n = as_mpf(side.tau), mpf(0), 1
             while True:
                 x = sol.alpha + b * (n - tau) ** 2
-                total += 1 / (mp.exp(x) + 1)
-                if x > 7000:
-                    break
+                total += 1 / (mp.exp(x) - stat.eta)
+                if x > 2.3 * digits:
+                    return sol, abs(total - N)
                 n += 1
-            assert 0 < abs(total - N) <= sol.residual_bound
+
+    @pytest.mark.parametrize("N,t", [(4, "0.0101774"), (12, "0.0100589")])
+    @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
+    def test_residual_bound_holds(self, N, t, side):
+        sol, residual = self.true_residual(FERMION, side, N, t, 3000)
+        assert 0 < residual <= sol.residual_bound
+
+    # boson N=24 at the seed-2 and seed-5 curve cells: the tails, about
+    # 1e-75, are far below the residual, about 6e-32, so the bound is the
+    # residual itself; summed in round-to-nearest it lay 2.0e-74 (plus side
+    # at t=0.0102206) and 1.9e-73 (minus side at t=0.0101723) below the
+    # true one
+    @pytest.mark.parametrize("t", ["0.0102206", "0.0101723"])
+    @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
+    def test_residual_bound_rounds_up(self, t, side):
+        sol, residual = self.true_residual(BOSON, side, 24, t, 400)
+        assert 0 < residual <= sol.residual_bound
 
     @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
     def test_unresolvable_step_raises(self, side):
