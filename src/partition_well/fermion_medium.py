@@ -124,10 +124,11 @@ def _trapezoid_pair(alpha: mpf, policy: PrecisionPolicy):
     :func:`_pair_target` of e^(-alpha), formed once: the aliasing of
     :func:`_fermi_lattice`, the cut, and the rounding of the walk of
     :func:`~.numerics.fixed_point_walk` (which counts the deep Fermi sea as
-    a plateau) take 5/8 of it.  After the point y the walk's bound u on
-    e^(-alpha - y^2) is certified at, s (1 - s) <= s < e^(-alpha - v^2) sum
-    to at most u times :func:`~.numerics.gaussian_tail_factor` of y; the
-    cut is where that is below a quarter of the target."""
+    a plateau) take 5/8 of it.  At a point y where the walk certifies
+    u >= e^(-alpha - y^2), the points after y, s (1 - s) <= s <
+    e^(-alpha - v^2), sum to at most u times
+    :func:`~.numerics.gaussian_tail_factor` of y; the cut is where that is
+    at most a quarter of the target."""
     ealpha = mp.exp(-alpha)
     target = _pair_target(ealpha, policy)
     h = _fermi_lattice(alpha, target)

@@ -221,10 +221,9 @@ class _LevelSums(NamedTuple):
 
 def _theta0(lattice: FixedPointLattice, w1: mpf, sigma: int, eps: mpf):
     """sum_{n>=1} exp(-beta e_n) with certified error below eps, beta = b of
-    the stride-1 ``lattice`` and w1 = e^(-beta e_1); from beta = 1.5 on,
-    walked over its points as w_1 times the sum of e^(-beta (e_n - e_1)) <= 1:
-    a ratio table shared with the level sums, and no deep scale however
-    small w_1 is."""
+    the stride-1 ``lattice``; from beta = 1.5 on, walked over its points as
+    w1 = e^(-beta e_1) times the sum of e^(-beta (e_n - e_1)) <= 1: a ratio
+    table shared with the level sums, and no deep scale however small w1 is."""
     beta = lattice.b
     if beta >= _THETA_POISSON_MAX_BETA:
         # level spacing grows, so every ratio is at most the first
@@ -771,8 +770,7 @@ def _solve_side_at(stat: Statistics, side: WellSide, N: int, t: mpf,
         lo, hi = _closed_form_ends(stat, side, N, table)
         root = find_root_bracketed(g, lo, hi, policy, derivative=True).root
         sums = _level_sums(table, root)
-        # |sum - N| exactly, then the tail added rounding upward: where the
-        # tail is far below the residual the bound is the residual itself
+        # |sum - N| exact and the tail added upward: a bound even where it is all residual
         residual = mp.fadd(abs(mp.fsub(sums.number, N, exact=True)), sums.tail_number,
                            rounding="u")
         slope = abs(sums.dnumber) - sums.tail_dnumber

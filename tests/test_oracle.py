@@ -426,9 +426,9 @@ class TestSharpStepCertificate:
 
     # boson N=24 at the seed-2 and seed-5 curve cells: the tails, about
     # 1e-75, are far below the residual, about 6e-32, so the bound is the
-    # residual itself; summed in round-to-nearest it lay 2.0e-74 (plus side
-    # at t=0.0102206) and 1.9e-73 (minus side at t=0.0101723) below the
-    # true one
+    # residual itself; summed in round-to-nearest, it lay 2.0e-74 (plus
+    # side at t=0.0102206) and 1.9e-73 (minus side at t=0.0101723) below
+    # the true residual
     @pytest.mark.parametrize("t", ["0.0102206", "0.0101723"])
     @pytest.mark.parametrize("side", [W_MINUS, W_PLUS])
     def test_residual_bound_rounds_up(self, t, side):
