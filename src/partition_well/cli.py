@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .model import BOSON, FERMION, Statistics, W_MINUS, W_PLUS
-from .numerics import DEFAULT_POLICY, SOLVER_FAILURES, PrecisionPolicy
+from .numerics import DEFAULT_POLICY, NumericFailure, PrecisionPolicy
 from . import boson_medium, equilibrium, fermion_medium, hightemp, lowtemp, oracle
 
 SCHEMA_VERSION = "1"
@@ -266,7 +266,7 @@ def _approximate(names, N: int, stat: Statistics, point) -> list:
         _, fn = APPROXIMATIONS[name]
         try:
             values.append(fn(N, point.t, stat))
-        except SOLVER_FAILURES as exc:  # before ValueError: NoSignChange is one
+        except NumericFailure as exc:  # before ValueError: NoSignChange is one
             values.append(f"numeric failure in {name} at t = {_fmt(point.t, 12)}: {exc}")
             break
         except (ValueError, ZeroDivisionError):
@@ -318,6 +318,8 @@ def _run_curve(cfg: RunConfig, out_stream) -> int:
 
 
 def _run_compare(cfg: RunConfig, names, out_stream) -> int:
+    if not names:
+        raise UsageError("--approx names no approximation")
     for name in names:
         if name not in APPROXIMATIONS:
             raise UsageError(
@@ -328,7 +330,7 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
             raise UsageError(f"approximation {name!r} requires --stat {required}")
     rows = []
     stats: dict = {}
-    for point, values in _sweep(cfg, names):
+    for i, (point, values) in enumerate(_sweep(cfg, names)):
         t, exact = point.t, point.delta_f
         for name, approx in zip(names, values):
             if isinstance(approx, str):
@@ -337,6 +339,11 @@ def _run_compare(cfg: RunConfig, names, out_stream) -> int:
             if approx is None:
                 rows.append((t, exact, name, None, None, None))
                 continue
+            if exact == 0:
+                print(f"numeric failure at grid point {i} (t = {mp.nstr(t, 25)}): "
+                      f"delta_f reads 0, so the relative error of {name} is undefined",
+                      file=sys.stderr)
+                return EXIT_NUMERIC
             abs_err = abs(approx - exact)
             rel_err = abs_err / abs(exact)
             window = _regime_window(cfg.stat, cfg.particles_N, t)
@@ -514,6 +521,13 @@ def _run(args, cfg: RunConfig, stream) -> int:
 
 
 def main(argv=None) -> int:
+    # grid points and printed quotients are formed at the ambient precision:
+    # that of a fresh interpreter, whatever the caller's
+    with mp.workprec(53):
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -540,8 +554,7 @@ def main(argv=None) -> int:
             print(f"numeric failure at grid point {i} (t = {mp.nstr(t, 25)}): {msg}",
                   file=sys.stderr)
         return EXIT_NUMERIC
-    except (oracle.BracketFailure, oracle.StepNotFound,
-            oracle.NotUnimodal) + SOLVER_FAILURES as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

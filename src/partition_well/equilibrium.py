@@ -81,8 +81,9 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
     Each side's reduced force is re-evaluated by the exact oracle at its
     rescaled reduced temperature t (1 -+ xi)^2 and weighted by the geometric
     factor (1 -+ xi)^{-3}; the root in xi is bracketed on (0, 1) by
-    overshooting Newton steps from xi = 0 and found by safeguarded Newton,
-    its slope from each side's df/dt:
+    overshooting Newton steps from xi = 0 (where delta_f must be positive,
+    else :class:`~partition_well.oracle.BracketFailure` is raised) and found
+    by safeguarded Newton, its slope from each side's df/dt:
 
         B'(xi) = [2 t f_-'/(1 + xi)^2 - 3 f_-/(1 + xi)^4
                   + 2 t f_+'/(1 - xi)^2 - 3 f_+/(1 - xi)^4] / scale.
@@ -116,6 +117,11 @@ def shift_finite_temperature(stat: Statistics, N: int, t,
         # balance(0) = delta_f / scale > 0, until the balance turns negative
         lo, hi = mpf(0), None
         value, slope = balance(lo)
+        if not value > 0:
+            # at t of about 1e200 delta_f has no digit left and reads 0
+            raise oracle.BracketFailure(
+                f"no force balance: delta_f at xi = 0 is {mp.nstr(value * scale, 6)}, "
+                "not positive")
         while hi is None:
             step = -value / slope * 5 / 4 if slope < 0 else mp.inf
             x = lo + min(step, (1 - lo) / 2)

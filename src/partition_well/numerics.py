@@ -49,7 +49,7 @@ __all__ = [
     "FixedPointSums",
     "fixed_point_walk",
     "quad_semi_infinite",
-    "SOLVER_FAILURES",
+    "NumericFailure",
 ]
 
 # extra decimal digits carried internally beyond the policy's working digits
@@ -58,25 +58,26 @@ GUARD_DIGITS = 10
 ESCALATION_FACTOR = 2
 
 
-class NoSignChange(ValueError):
-    """Root bracket endpoints do not straddle a sign change."""
+class NumericFailure(RuntimeError):
+    """A numerical solve or search failed, as opposed to a domain error; the
+    CLI exits 3 on it."""
 
 
-class MaxIterations(RuntimeError):
+class NoSignChange(NumericFailure, ValueError):
+    """Root bracket endpoints do not straddle a sign change.  Also a
+    ValueError, so handlers catch :class:`NumericFailure` first."""
+
+
+class MaxIterations(NumericFailure):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
-class NonConvergent(RuntimeError):
+class NonConvergent(NumericFailure):
     """Quadrature refinement failed to reach the requested tolerance."""
 
 
-class PrecisionExhausted(RuntimeError):
+class PrecisionExhausted(NumericFailure):
     """The precision ceiling was reached without meeting the target."""
-
-
-# failures of a numerical solve, as opposed to a domain error; NoSignChange
-# is also a ValueError, so handlers catch these first
-SOLVER_FAILURES = (MaxIterations, PrecisionExhausted, NoSignChange, NonConvergent)
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,8 @@ from .fermion_medium import fermi_integral_ends
 from .model import Statistics, W_MINUS, W_PLUS, WellSide, as_mpf
 from .numerics import (
     DEFAULT_POLICY,
-    SOLVER_FAILURES,
     MaxIterations,
+    NumericFailure,
     PrecisionExhausted,
     FixedPointLattice,
     PrecisionPolicy,
@@ -125,7 +125,7 @@ __all__ = [
 _THETA_POISSON_MAX_BETA = mpf("1.5")
 
 
-class BracketFailure(RuntimeError):
+class BracketFailure(NumericFailure):
     """No sign-changing bracket could be constructed for the constraint."""
 
 
@@ -134,7 +134,7 @@ class _SlopeLost(PrecisionExhausted):
     bound; more working digits can resolve it."""
 
 
-class NotUnimodal(RuntimeError):
+class NotUnimodal(NumericFailure):
     """Probe points do not show a single interior minimum."""
 
     def __init__(self, message, probes):
@@ -142,7 +142,7 @@ class NotUnimodal(RuntimeError):
         self.probes = probes
 
 
-class StepNotFound(RuntimeError):
+class StepNotFound(NumericFailure):
     """Fewer than two inflection points detected in the search window."""
 
 
@@ -844,7 +844,7 @@ def _sweep_point(stat: Statistics, N: int, policy: PrecisionPolicy, each, t):
     # arguments, so that wrappers of net_force see (stat, N, t) as args[0..2]
     try:
         point = net_force(stat, N, t, policy)
-    except SOLVER_FAILURES + (BracketFailure,) as exc:
+    except NumericFailure as exc:
         return f"{type(exc).__name__}: {exc}"
     return point if each is None else (point, each(point))
 
@@ -856,11 +856,11 @@ def sweep_curve(stat: Statistics, N: int, grid: Sequence,
 
     Points are independent and are handed to ``map`` (the builtin by
     default; ``Executor.map`` of a process pool runs them in parallel) and
-    come back in grid order.  A point whose solve fails numerically
-    (:data:`~partition_well.numerics.SOLVER_FAILURES` or
-    :class:`BracketFailure`) is recorded with its index while the remaining
-    points are still computed, after which a :class:`SweepFailure` carrying
-    the completed points is raised.  Any other exception propagates.
+    come back in grid order.  A point whose solve fails numerically (a
+    :class:`~partition_well.numerics.NumericFailure`) is recorded with its
+    index while the remaining points are still computed, after which a
+    :class:`SweepFailure` carrying the completed points is raised.  Any
+    other exception propagates.
 
     ``each``, if given, is applied to every computed point inside the same
     mapped call, so that a process pool spreads its work too (it must then
@@ -901,38 +901,48 @@ def _certified_sign(point: CurvePoint, order: int) -> int:
     return (value > bound) - (value < -bound)
 
 
+def _probe_scan(stat: Statistics, N: int, policy: PrecisionPolicy, order: int,
+                temperatures) -> tuple:
+    """The probes (net_force with derivatives at each temperature), the
+    certified signs of their derivative of ``order`` and the scale
+    max |t^k d^k delta_f/dt^k| by which the refine divides it."""
+    probes = [net_force(stat, N, t, policy, derivatives=True) for t in temperatures]
+    signs = [_certified_sign(p, order) for p in probes]
+    return probes, signs, max(abs(_scaled_derivative(p, order)[0]) for p in probes)
+
+
 def _refine_sign_change(stat: Statistics, N: int, policy: PrecisionPolicy,
-                        order: int, t_a: mpf, t_b: mpf, rising: bool, scale: mpf) -> tuple:
+                        order: int, left: CurvePoint, right: CurvePoint, scale: mpf) -> tuple:
     """Root of g(x) = t^k d^k delta_f/dt^k / ``scale`` (k = ``order``,
-    x = log t) between t_a < t_b, whose certified signs are -, + if
-    ``rising``, else +, -; refined to ``_SEARCH_LOG_T_TOL`` in x with the
+    x = log t) between the probes ``left`` and ``right``, whose certified
+    signs of g are opposite; refined to ``_SEARCH_LOG_T_TOL`` in x with the
     slope t delta_f' + t^2 delta_f'' for k = 1 and secant slopes for k = 2.
 
     Returns (t, delta_f at t, half-width): t is the evaluated point of least
     |g|, and t -+ half-width covers the tightest bracket around it whose
-    ends carry certified opposite signs of g (t_a and t_b at worst).
+    ends carry certified opposite signs of g (the two probes at worst).
     """
-    seen = []
+    # every point by its x; the root finder's first calls are at the probes
+    seen = {mp.log(p.t): p for p in (left, right)}
 
     def g(x):
-        # positional (stat, N, t): wrappers of net_force read them as args[0..2]
-        point = net_force(stat, N, mp.exp(x), policy, derivatives=True)
-        seen.append(point)
-        value = _scaled_derivative(point, order)[0] / scale
+        if x not in seen:
+            # positional (stat, N, t): wrappers of net_force read them as args[0..2]
+            seen[x] = net_force(stat, N, mp.exp(x), policy, derivatives=True)
+        value = _scaled_derivative(seen[x], order)[0] / scale
         if order == 2:
             return value
-        return value, value + _scaled_derivative(point, 2)[0] / scale
+        return value, value + _scaled_derivative(seen[x], 2)[0] / scale
 
-    find_root_bracketed(g, mp.log(t_a), mp.log(t_b),
+    find_root_bracketed(g, mp.log(left.t), mp.log(right.t),
                         replace(policy, target_abs_error=_SEARCH_LOG_T_TOL),
                         derivative=order == 1)
-    best = min(seen, key=lambda p: abs(_scaled_derivative(p, order)[0]))
-    left_sign = -1 if rising else 1
-    # t_a and t_b carry their certified signs from the caller's evaluations
-    t_left = max((p.t for p in seen
-                  if p.t <= best.t and _certified_sign(p, order) == left_sign), default=t_a)
-    t_right = min((p.t for p in seen
-                   if p.t >= best.t and _certified_sign(p, order) == -left_sign), default=t_b)
+    best = min(seen.values(), key=lambda p: abs(_scaled_derivative(p, order)[0]))
+    left_sign = _certified_sign(left, order)
+    t_left = max(p.t for p in seen.values()
+                 if p.t <= best.t and _certified_sign(p, order) == left_sign)
+    t_right = min(p.t for p in seen.values()
+                  if p.t >= best.t and _certified_sign(p, order) == -left_sign)
     return best.t, best.delta_f, max(best.t - t_left, t_right - best.t)
 
 
@@ -961,19 +971,15 @@ def locate_minimum(stat: Statistics, N: int,
     t_lo, t_hi = mpf(search_window[0]), mpf(search_window[1])
     with mp.workdps(policy.dps):
         a, c = mp.log(t_lo), mp.log(t_hi)
-        n_probe = 5
-        probes = [net_force(stat, N, mp.exp(a + (c - a) * i / (n_probe - 1)), policy,
-                            derivatives=True) for i in range(n_probe)]
-        signs = [_certified_sign(p, 1) for p in probes]
-        rises = [i for i in range(n_probe - 1) if signs[i] != signs[i + 1]]
+        probes, signs, scale = _probe_scan(stat, N, policy, 1,
+                                           [mp.exp(a + (c - a) * i / 4) for i in range(5)])
+        rises = [i for i in range(4) if signs[i] != signs[i + 1]]
         if not (len(rises) == 1 and signs[0] == -1 and signs[-1] == 1):
             raise NotUnimodal(
                 "derivative signs at the probes do not bracket a single interior minimum",
                 [(p.t, p.delta_f) for p in probes])
         i = rises[0]
-        scale = max(abs(_scaled_derivative(p, 1)[0]) for p in probes)
-        return Minimum(*_refine_sign_change(
-            stat, N, policy, 1, probes[i].t, probes[i + 1].t, True, scale))
+        return Minimum(*_refine_sign_change(stat, N, policy, 1, probes[i], probes[i + 1], scale))
 
 
 def locate_inflections(stat: Statistics, N: int,
@@ -1000,9 +1006,8 @@ def locate_inflections(stat: Statistics, N: int,
     t_lo, t_hi = mpf(window[0]), mpf(window[1])
     with mp.workdps(policy.dps):
         h = (t_hi - t_lo) / (_INFLECTION_GRID - 1)
-        grid = [net_force(stat, N, t_lo + i * h, policy, derivatives=True)
-                for i in range(_INFLECTION_GRID)]
-        signs = [_certified_sign(p, 2) for p in grid]
+        grid, signs, scale = _probe_scan(stat, N, policy, 2,
+                                         [t_lo + i * h for i in range(_INFLECTION_GRID)])
         if 0 in signs:
             raise StepNotFound("curvature sign not resolved at t = "
                                + mp.nstr(grid[signs.index(0)].t, 8))
@@ -1012,9 +1017,7 @@ def locate_inflections(stat: Statistics, N: int,
         rises = [k for k, i in enumerate(changes) if signs[i] < 0]
         if not rises or rises[0] + 1 == len(changes):
             raise StepNotFound("fewer than two curvature sign changes detected")
-        scale = max(abs(_scaled_derivative(p, 2)[0]) for p in grid)
         (t_begin, _, err_begin), (t_end, _, err_end) = (
-            _refine_sign_change(stat, N, policy, 2, grid[i].t, grid[i + 1].t,
-                                signs[i] < 0, scale)
+            _refine_sign_change(stat, N, policy, 2, grid[i], grid[i + 1], scale)
             for i in changes[rises[0]:rises[0] + 2])
         return Inflections(t_begin, t_end, err_begin, err_end)

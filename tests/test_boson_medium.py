@@ -75,6 +75,21 @@ class TestScaledAlphaSolve:
         # close to the exact 0.9026 but not equal
         assert abs(sol.t_alpha - mpf("0.9026")) < mpf("0.02")
 
+    def test_tanh_pade_inversion(self):
+        # exact at its expansion point pi sqrt(z) = 3, off the exact solve at
+        # third order in w - w*: 9.7e-6 at 1.05 w* and 5.6e-4 at 1.2 w*
+        z_star = (3 / mp.pi) ** 2
+        w_star = 1 / spectral_sum(W_PLUS, z_star)
+        errors = []
+        for factor in (1, mpf("1.05"), mpf("1.2")):
+            t = 100 * w_star * factor
+            pade = solve_scaled_alpha(W_PLUS, 100, t, "tanh_pade")
+            exact = solve_scaled_alpha(W_PLUS, 100, t, "exact_S_solve")
+            errors.append(abs(pade.t_alpha - exact.t_alpha))
+        assert errors[0] < mpf("1e-20")
+        assert errors[1] < mpf("1e-5") and errors[2] < mpf("1e-3")
+        assert errors[2] / errors[1] > 4 ** 2
+
     def test_series_inversion_near_crossing(self):
         t0_minus = 600 / mp.pi ** 2
         sol = solve_scaled_alpha(W_MINUS, 100, t0_minus, "series_inversion")

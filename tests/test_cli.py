@@ -8,7 +8,7 @@ from partition_well import cli, oracle
 from partition_well.cli import GridSpec, main
 from partition_well.fermion_medium import VariantDomainError
 from partition_well.numerics import (MaxIterations, NoSignChange, NonConvergent,
-                                     PrecisionExhausted)
+                                     NumericFailure, PrecisionExhausted)
 
 
 def run_cli(args):
@@ -247,6 +247,23 @@ class TestCompare:
         row = capsys.readouterr().out.splitlines()[1]
         assert row.startswith("2.0,") and row.endswith(",fermion_stoner,,,")
 
+    def test_empty_approx_usage_error(self, capsys):
+        assert run_cli(["compare", "--approx", ","]) == 2
+        assert "--approx names no approximation" in capsys.readouterr().err
+
+    def test_zero_exact_value_exit_3_keeps_out(self, tmp_path, capsys):
+        # at t = 1e200 delta_f has no digit left and reads 0, so no relative
+        # error can be formed
+        out = tmp_path / "cmp.csv"
+        out.write_text("earlier run\n")
+        assert run_cli(["compare", "--stat", "boson", "--N", "3", "--t", "1e200:1e200:1:log",
+                        "--approx", "boson_medium_exactS", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure at grid point 0 (t = 9.9999999")
+        assert "relative error of boson_medium_exactS is undefined" in err
+        assert out.read_text() == "earlier run\n"
+        assert os.listdir(tmp_path) == ["cmp.csv"]
+
     def test_summary_lines_in_csv(self, tmp_path):
         out = tmp_path / "cmp2.csv"
         assert run_cli(["compare", "--stat", "boson", "--N", "50",
@@ -298,6 +315,12 @@ class TestReport:
         assert rep["method"] == "curvature_sign_root_log_t"
         for key in ("t_begin", "t_end"):
             assert 0 < float(rep[key + "_error"]) <= 2e-8 * float(rep[key])
+
+    def test_csv_key_value_lines(self, capsys):
+        assert run_cli(["report", "--kind", "zero_t", "--stat", "fermion", "--N", "100"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "key,value", "kind,zero_t", "statistics,fermion", "N,100", "f_plus,333325",
+            "f_minus,338350", "delta_f,5025", "method,exact_rational"]
 
     def test_inflections_require_fermion(self):
         assert run_cli(["report", "--kind", "inflections", "--stat", "boson"]) == 2
@@ -396,7 +419,8 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["f.csv"]
 
     @pytest.mark.parametrize("exc", [MaxIterations, PrecisionExhausted,
-                                     NoSignChange, NonConvergent])
+                                     NoSignChange, NonConvergent,
+                                     oracle.BracketFailure, oracle.StepNotFound])
     def test_solver_failures_exit_3_on_report(self, exc, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise exc("injected")
@@ -413,3 +437,32 @@ def test_env_config_applies_to_curve(tmp_path, monkeypatch, capsys):
     assert run_cli(["curve"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
+
+
+def test_numeric_failures_share_one_base():
+    # the CLI exits 3 on the base; NoSignChange is a ValueError too
+    for exc in (MaxIterations, PrecisionExhausted, NoSignChange, NonConvergent,
+                oracle.BracketFailure, oracle.StepNotFound, oracle.NotUnimodal):
+        assert issubclass(exc, NumericFailure)
+    assert issubclass(NoSignChange, ValueError)
+
+
+# inputs at the edge of what the arithmetic resolves: at t = 1e200 and above
+# delta_f reads 0
+EDGE_COMMANDS = [
+    ["report", "--kind", "equilibrium_shift", "--stat", "boson", "--N", "5",
+     "--t-value", "1e200"],
+    ["report", "--kind", "equilibrium_shift", "--stat", "fermion", "--N", "5",
+     "--t-value", "1e300"],
+    ["curve", "--stat", "boson", "--N", "3", "--t", "1e200:1e200:1:log"],
+    ["compare", "--stat", "boson", "--N", "3", "--t", "1e200:1e200:1:log",
+     "--approx", "boson_medium_exactS"],
+    ["compare", "--approx", ","],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_COMMANDS, ids=" ".join)
+def test_edge_inputs_keep_the_exit_contract(argv, capsys):
+    # exit 0, 2 or 3, with no exception escaping main
+    assert run_cli(argv) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -47,11 +47,11 @@ COMMANDS = {
 }
 
 
-def transcript(argv) -> str:
-    """Exit code, stdout and stderr of one ``cli.main`` call, as one text."""
+def transcript(argv, dps=15) -> str:
+    """Exit code, stdout and stderr of one ``cli.main`` call, as one text,
+    called at ambient precision ``dps`` (15: that of a fresh process)."""
     out, err = io.StringIO(), io.StringIO()
-    # the grid is built at the ambient precision: that of a fresh process
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mp.workdps(15):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mp.workdps(dps):
         code = cli.main(argv + _JSON)
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
@@ -61,6 +61,14 @@ def test_output_matches_golden(name, monkeypatch):
     monkeypatch.delenv("PARTITION_WELL_CONFIG", raising=False)
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert transcript(COMMANDS[name]) == expected
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_output_independent_of_ambient_precision(name, monkeypatch):
+    # main runs at a fresh process's precision whatever its caller's
+    monkeypatch.delenv("PARTITION_WELL_CONFIG", raising=False)
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert transcript(COMMANDS[name], dps=35) == expected
 
 
 if __name__ == "__main__":

@@ -93,6 +93,13 @@ class TestShiftFiniteTemperature:
         assert evals == [6]
         assert len(calls) == 14
 
+    @pytest.mark.parametrize("stat,t", [(BOSON, "1e200"), (FERMION, "1e300")])
+    def test_no_digit_left_raises_bracket_failure(self, stat, t):
+        # delta_f reads 0 at xi = 0, so the Newton step from there is 0 and
+        # no bracket of the balance exists
+        with pytest.raises(oracle.BracketFailure, match="not positive"):
+            shift_finite_temperature(stat, 5, mpf(t))
+
 
 class TestTransfer:
     def test_boson_split(self):

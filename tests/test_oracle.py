@@ -354,10 +354,10 @@ class TestSearchCounters:
         return calls
 
     @pytest.mark.parametrize("stat,N,window,calls", [
-        # 5 probes, the two bracket ends again, 3 Newton steps and the
-        # straddle probe
-        (BOSON, 6, ("0.601859", "12.0372"), 11),
-        (FERMION, 3, ("0.458867", "18.3547"), 11),
+        # 5 probes, 3 Newton steps and the straddle probe: the root finder
+        # reads the bracket ends from the probes
+        (BOSON, 6, ("0.601859", "12.0372"), 9),
+        (FERMION, 3, ("0.458867", "18.3547"), 9),
     ])
     def test_minimum(self, monkeypatch, stat, N, window, calls):
         counted = self._count(monkeypatch)
@@ -371,11 +371,11 @@ class TestSearchCounters:
         assert [oracle._certified_sign(p, 1) for p in ends] == [-1, 1]
 
     def test_inflections(self, monkeypatch):
-        # 16 grid points, then per sign change its two ends again and 5 or
-        # 6 secant steps with the straddle probe
+        # 16 grid points, then 5 secant steps per sign change, the straddle
+        # probe among them: the root finder reads the bracket ends from the grid
         counted = self._count(monkeypatch)
         found = locate_inflections(FERMION, 3)
-        assert len(counted) == 30
+        assert len(counted) == 26
         monkeypatch.undo()
         with mp.workdps(DEFAULT_POLICY.dps):
             for t, err, signs in ((found.t_begin, found.t_begin_error, [-1, 1]),
